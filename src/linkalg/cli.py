@@ -2,9 +2,10 @@
 
 Subcommands: eval, compose, eq, suite, decompose, embed.  Span and
 cospan values travel as JSON, read from file arguments or standard
-input and written to standard output (or --output).  Exit status 0 is a
-clean answer (including "false" and NOT_FOUND), 1 a domain error such
-as mismatched boundaries, 2 a parse or input error.
+input and written to standard output (or --output).  Span JSON is
+validated as it is read.  Exit status 0 is a clean answer (including
+"false"), 1 a domain error such as mismatched boundaries or an invalid
+span, 2 a parse or input error.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import argparse
 import json
 import sys
 
-from . import span_c, span_m
 from .equations import format_results, run_suite
 from .decompose import decompose
 from .span_c import Cospan, SpanC, embed_cospan
 from .span_m import SpanM
-from .terms import TermSyntaxError, TermTypeError, eval_term, parse, pretty
+from .terms import MODELS, TermSyntaxError, TermTypeError, eval_term, parse, pretty
 
 
 def _read_text(path):
@@ -35,11 +35,9 @@ def _load_json(path):
 def _load_span(obj):
     if not isinstance(obj, dict):
         raise ValueError("expected a span object")
-    model = obj.get("model")
-    if model == "c":
-        return SpanC.from_dict(obj)
-    if model == "m":
-        return SpanM.from_dict(obj)
+    for cls in (SpanC, SpanM):
+        if obj.get("model") == cls.MODEL:
+            return cls.from_dict(obj)
     raise ValueError('span JSON needs "model": "c" or "m"')
 
 
@@ -75,29 +73,11 @@ def _cmd_compose(args):
     s, t = spans
     if type(s) is not type(t):
         raise ValueError("cannot compose spans of different models")
-    if args.model is not None:
-        want = SpanC if args.model == "c" else SpanM
-        if type(s) is not want:
-            raise ValueError(f"spans are not model {args.model}")
-    if isinstance(s, SpanC):
-        out = span_c.compose(s, t)
-    else:
-        out = span_m.compose(s, t)
+    if args.model is not None and s.MODEL != args.model:
+        raise ValueError(f"spans are not model {args.model}")
+    out = MODELS[s.MODEL].compose(s, t)
     _emit(_dump(out.to_dict()), args.output)
     return 0
-
-
-def _m_witness(s, t):
-    pairs_t = list(enumerate(t.pairs()))
-    image = []
-    used = set()
-    for ps in s.pairs():
-        for j, pt in pairs_t:
-            if j not in used and pt == ps:
-                image.append(j)
-                used.add(j)
-                break
-    return image
 
 
 def _cmd_eq(args):
@@ -109,14 +89,9 @@ def _cmd_eq(args):
         )
     a = eval_term(lhs, args.model)
     b = eval_term(rhs, args.model)
-    if args.model == "c":
-        wit = span_c.find_iso(a, b)
-        equal = wit is not None
-    else:
-        equal = span_m.iso_check(a, b)
-        wit = _m_witness(a, b) if equal else None
-    lines = ["true" if equal else "false"]
-    if args.witness and equal:
+    wit = MODELS[args.model].find_iso(a, b)
+    lines = ["true" if wit is not None else "false"]
+    if args.witness and wit is not None:
         lines.append(_dump(wit))
     _emit("\n".join(lines), args.output)
     return 0
@@ -134,11 +109,9 @@ def _cmd_suite(args):
 def _cmd_decompose(args):
     obj = _load_json(args.input)
     s = _load_span(obj)
-    model = "c" if isinstance(s, SpanC) else "m"
-    if model != args.model:
-        raise ValueError(f"span is model {model}, flag says {args.model}")
-    term = decompose(s, budget=args.budget)
-    _emit(pretty(term) if term is not None else "NOT_FOUND", args.output)
+    if s.MODEL != args.model:
+        raise ValueError(f"span is model {s.MODEL}, flag says {args.model}")
+    _emit(pretty(decompose(s)), args.output)
     return 0
 
 
@@ -199,7 +172,6 @@ def _parser():
     p = sub.add_parser("decompose", help="factor a JSON span into generators")
     add_model(p, True)
     p.add_argument("input", nargs="?", help="span file (default: stdin)")
-    p.add_argument("--budget", type=int, default=50000, help="search step limit")
     add_output(p)
     p.set_defaults(fn=_cmd_decompose)
 

@@ -6,18 +6,14 @@ left port out to the links it touches, inject any contention that
 shared ports do not already force, route wires to their links, collapse
 each link to a single element and fan it back out, route again, and fan
 wire bundles into the right ports.  The construction is verified by
-evaluating the term and checking isomorphism with the input; a bounded
-breadth-first search over staircase terms remains as a fallback.
+evaluating the term and checking isomorphism with the input.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from . import span_c, span_m
 from .span_c import SpanC
 from .span_m import SpanM
-from .terms import ARITIES, Atom, Seq, Ten, eval_term
+from .terms import MODELS, Atom, Seq, Ten, eval_term, pretty
 
 
 def _tensor_all(parts):
@@ -212,98 +208,18 @@ def _identity_term(k):
     return _tensor_all([Atom("id")] * k)
 
 
-_ATOMS = tuple((name, ARITIES[name]) for name in ARITIES)
-_SLICE_CACHE = {}
-
-
-def _slices(width, model, width_cap):
-    """One-layer terms consuming exactly `width` wires, with their values."""
-    key = (width, model, width_cap)
-    if key not in _SLICE_CACHE:
-        seqs = []
-
-        def rec(rem, acc, zeros, outw):
-            if outw > width_cap:
-                return
-            if rem == 0 and acc and any(a != "id" for a in acc):
-                seqs.append(tuple(acc))
-            for name, (d, c) in _ATOMS:
-                if d > rem or (d == 0 and zeros >= 1):
-                    continue
-                acc.append(name)
-                rec(rem - d, acc, zeros + (d == 0), outw + c)
-                acc.pop()
-
-        rec(width, [], 0, 0)
-        out = []
-        for names in seqs:
-            term = _tensor_all([Atom(nm) for nm in names])
-            out.append((term, eval_term(term, model)))
-        _SLICE_CACHE[key] = out
-    return _SLICE_CACHE[key]
-
-
-def _search(target, model, budget):
-    """Breadth-first staircase search; None once the budget runs out."""
-    if model == "c":
-        state = span_c.identity_span(target.left)
-        comp, iso, key = span_c.compose, span_c.iso_check, span_c.canonical_key
-        width = lambda v: v.right
-        size = lambda v: v.carrier.size
-        kl = (target.left, target.right)
-        heavy = lambda v: False
-    else:
-        state = span_m.identity_span_m(target.left)
-        comp, iso, key = span_m.compose, span_m.iso_check, span_m.canonical_key
-        width = lambda v: v.rleg.cod
-        size = lambda v: v.carrier
-        kl = (target.left, target.right)
-        heavy = lambda v: any(
-            c > 4 for row in list(v.lleg.rows) + list(v.rleg.rows) for c in row.counts
-        )
-    width_cap = max(*kl, 2) + 3
-    size_cap = max(size(target) + 2, 4)
-    if width(state) == kl[1] and iso(state, target):
-        return _identity_term(kl[0])
-    queue = deque([(state, None)])
-    seen = {key(state)}
-    spent = 0
-    while queue:
-        val, term = queue.popleft()
-        for sterm, sval in _slices(width(val), model, width_cap):
-            spent += 1
-            if spent > budget:
-                return None
-            new = comp(val, sval)
-            if size(new) > size_cap or heavy(new):
-                continue
-            grown = sterm if term is None else Seq(term, sterm)
-            if width(new) == kl[1] and iso(new, target):
-                return grown
-            k2 = key(new)
-            if k2 not in seen:
-                seen.add(k2)
-                queue.append((new, grown))
-    return None
-
-
-def decompose(s, budget=50000):
+def decompose(s):
     """A term over the ten generators whose value is isomorphic to s.
 
-    The direct construction is tried first and confirmed by evaluation;
-    if confirmation fails the bounded search takes over.  Returns None
-    when no term is found within the budget, which says nothing about
-    whether one exists.
+    The term is read off the span directly and confirmed by evaluating
+    it; a failed confirmation is a defect in the construction and raises
+    RuntimeError.
     """
-    if isinstance(s, SpanC):
-        model, iso = "c", span_c.iso_check
-    elif isinstance(s, SpanM):
-        model, iso = "m", span_m.iso_check
-    else:
+    if not isinstance(s, (SpanC, SpanM)):
         raise TypeError("expected a span value")
     if not s.check():
         raise ValueError("span is not valid")
     term = _synthesize(s)
-    if iso(eval_term(term, model), s):
-        return term
-    return _search(s, model, budget)
+    if not MODELS[s.MODEL].iso_check(eval_term(term, s.MODEL), s):
+        raise RuntimeError(f"synthesised term does not evaluate back to the span: {pretty(term)}")
+    return term

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from . import span_c, span_m
 from .contention import CSet, full
-from .span_c import SpanC
-from .span_m import SpanM
-from .terms import eval_term, parse
+from .terms import MODELS, eval_term, parse
 
 
 @dataclass(frozen=True)
@@ -146,14 +144,8 @@ class LawResult:
 
 def run_law(law):
     lhs = eval_term(parse(law.lhs), law.model)
-    if isinstance(law.rhs, (SpanC, SpanM)):
-        rhs = law.rhs
-    else:
-        rhs = eval_term(parse(law.rhs), law.model)
-    if law.model == "c":
-        actual = span_c.iso_check(lhs, rhs)
-    else:
-        actual = span_m.iso_check(lhs, rhs)
+    rhs = eval_term(parse(law.rhs), law.model) if isinstance(law.rhs, str) else law.rhs
+    actual = MODELS[law.model].iso_check(lhs, rhs)
     return LawResult(law.label, law.model, law.expected, actual)
 
 

@@ -9,7 +9,6 @@ union on every level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .contention import CSet, coproduct, discrete, set_of
@@ -24,6 +23,8 @@ class SpanC:
     carrier: CSet
     lleg: CRel
     rleg: CRel
+
+    MODEL = "c"
 
     def __post_init__(self):
         if self.lleg.dom != self.carrier or self.rleg.dom != self.carrier:
@@ -52,14 +53,8 @@ class SpanC:
 
     @classmethod
     def from_dict(cls, d):
-        carrier = CSet.from_dict(d["carrier"])
-        return cls(
-            d["left"],
-            d["right"],
-            carrier,
-            CRel(carrier, discrete(d["left"]), tuple(frozenset(u) for u in d["lleg"])),
-            CRel(carrier, discrete(d["right"]), tuple(frozenset(u) for u in d["rleg"])),
-        )
+        """Load and validate; ValueError("invalid span: ...") if the legs break the arrow condition."""
+        return span_c(d["left"], d["right"], CSet.from_dict(d["carrier"]), d["lleg"], d["rleg"])
 
 
 def span_c(left, right, carrier, limages, rimages):
@@ -132,54 +127,38 @@ def find_iso(s, t):
     cands = [[j for j in range(n) if sig_t[j] == sig_s[i]] for i in range(n)]
     assignment = [-1] * n
     used = [False] * n
+    tried = [0] * n  # per carrier element of s, how many of its candidates were tried
 
-    def extend(i):
-        if i == n:
-            return True
-        for j in cands[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if s.carrier.contends(i, k) != t.carrier.contends(j, assignment[k]):
-                    ok = False
-                    break
-            if ok:
+    def fits(i, j):
+        for k in range(i):
+            if s.carrier.contends(i, k) != t.carrier.contends(j, assignment[k]):
+                return False
+        return True
+
+    # depth-first over i with an explicit stack, so that carrier size is
+    # not bounded by the recursion limit
+    i = 0
+    while 0 <= i < n:
+        if assignment[i] >= 0:  # back from a dead end: undo this element's choice
+            used[assignment[i]] = False
+            assignment[i] = -1
+        row = cands[i]
+        while tried[i] < len(row):
+            j = row[tried[i]]
+            tried[i] += 1
+            if not used[j] and fits(i, j):
                 assignment[i] = j
                 used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                assignment[i] = -1
-        return False
-
-    return list(assignment) if extend(0) else None
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+    return assignment if i == n else None
 
 
 def iso_check(s, t):
     return find_iso(s, t) is not None
-
-
-def canonical_key(s):
-    """A complete invariant for iso classes; used to deduplicate values.
-
-    Elements are grouped by leg signature and the contention relation
-    is minimised over within-group permutations.
-    """
-    sig = _signatures(s)
-    order = sorted(range(s.carrier.size), key=lambda i: sig[i])
-    groups = []
-    for _, grp in itertools.groupby(order, key=lambda i: sig[i]):
-        groups.append(list(grp))
-    best = None
-    for perms in itertools.product(*[itertools.permutations(g) for g in groups]):
-        relabel = [i for grp in perms for i in grp]
-        pos = {old: new for new, old in enumerate(relabel)}
-        cont = tuple(sorted((min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in s.carrier.contention))
-        if best is None or cont < best:
-            best = cont
-    sigs = tuple(sig[i] for i in order)
-    return (s.left, s.right, sigs, best)
 
 
 GENERATOR_NAMES = ("copy", "del", "merge", "new", "split", "stop", "join", "start", "id", "swap")

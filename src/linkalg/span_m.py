@@ -23,6 +23,8 @@ class SpanM:
     lleg: MRel
     rleg: MRel
 
+    MODEL = "m"
+
     def __post_init__(self):
         if self.lleg.dom != self.carrier or self.rleg.dom != self.carrier:
             raise ValueError("legs must share the carrier as domain")
@@ -52,14 +54,18 @@ class SpanM:
 
     @classmethod
     def from_dict(cls, d):
+        """Load and validate; ValueError("invalid span: ...") if the legs are not jointly injective."""
         n = d["carrier"]
-        return cls(
+        s = cls(
             d["left"],
             d["right"],
             n,
             MRel(n, d["left"], tuple(Multiset(tuple(r)) for r in d["lleg"])),
             MRel(n, d["right"], tuple(Multiset(tuple(r)) for r in d["rleg"])),
         )
+        if not s.check():
+            raise ValueError("invalid span: legs are not jointly injective")
+        return s
 
 
 def span_m(left, right, lrows, rrows):
@@ -138,8 +144,20 @@ def iso_check(s, t):
     return sorted(s.pairs()) == sorted(t.pairs())
 
 
-def canonical_key(s):
-    return (s.left, s.right, tuple(sorted(s.pairs())))
+def find_iso(s, t):
+    """A carrier bijection matching image pairs, or None."""
+    if not iso_check(s, t):
+        return None
+    pairs_t = list(enumerate(t.pairs()))
+    image = []
+    used = set()
+    for ps in s.pairs():
+        for j, pt in pairs_t:
+            if j not in used and pt == ps:
+                image.append(j)
+                used.add(j)
+                break
+    return image
 
 
 def generators_m():
@@ -156,6 +174,10 @@ def generators_m():
     g["id"] = identity_span_m(1)
     g["swap"] = span_m(2, 2, [[1, 0], [0, 1]], [[0, 1], [1, 0]])
     return g
+
+
+# the name every model module answers to (see terms.MODELS)
+generators = generators_m
 
 
 def random_span_m(rng, max_boundary=2, max_carrier=2, max_entry=2):

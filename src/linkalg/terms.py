@@ -16,6 +16,12 @@ from dataclasses import dataclass
 
 from . import span_c, span_m
 
+# The span modules are the model interface: each provides compose,
+# tensor, iso_check, find_iso and generators.  Callers look functions up
+# on the module at call time, so that rebinding a module attribute (as a
+# tracer does) reaches every caller.
+MODELS = {"c": span_c, "m": span_m}
+
 ARITIES = {
     "copy": (1, 2),
     "del": (1, 0),
@@ -201,20 +207,18 @@ def _pretty_tensor_part(t):
 
 def eval_term(t, model):
     """Evaluate in the chosen model, 'c' or 'm'."""
-    if model == "c":
-        gens, comp, tens = span_c.generators(), span_c.compose, span_c.tensor
-    elif model == "m":
-        gens, comp, tens = span_m.generators_m(), span_m.compose, span_m.tensor
-    else:
+    mod = MODELS.get(model)
+    if mod is None:
         raise ValueError(f"unknown model {model!r}")
+    gens = mod.generators()
 
     def go(t):
         if isinstance(t, Atom):
             return gens[t.name]
         if isinstance(t, Seq):
-            return comp(go(t.fst), go(t.snd))
+            return mod.compose(go(t.fst), go(t.snd))
         if isinstance(t, Ten):
-            return tens(go(t.fst), go(t.snd))
+            return mod.tensor(go(t.fst), go(t.snd))
         raise TypeError(f"not a term: {t!r}")
 
     return go(t)
@@ -237,6 +241,4 @@ def check_equation(lhs, rhs, model):
             f"sides have different boundaries: {l.dom}->{l.cod} vs {r.dom}->{r.cod}"
         )
     lv, rv = eval_term(l, model), eval_term(r, model)
-    if model == "c":
-        return span_c.iso_check(lv, rv)
-    return span_m.iso_check(lv, rv)
+    return MODELS[model].iso_check(lv, rv)

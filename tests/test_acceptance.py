@@ -1,7 +1,6 @@
 """Acceptance gate: ten checks, one printed verdict line each.
 
-Run with -s (or read test_output.txt) to see the lines; the test names
-carry the same numbering.  Scope notes: exhaustive layers run at the
+Run with -s to see the lines; the test names carry the same numbering.  Scope notes: exhaustive layers run at the
 largest size that stays within a few seconds in pure Python, with a
 randomized layer on top wherever the exhaustive bound had to shrink.
 """

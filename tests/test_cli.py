@@ -66,6 +66,8 @@ def test_eq_witness_is_a_carrier_bijection(capsys, monkeypatch):
     # no witness line when the sides differ
     code, out, _ = run(capsys, monkeypatch, ["eq", "-m", "c", "--witness", "split", "copy"])
     assert (code, out) == (0, "false\n")
+    code, out, _ = run(capsys, monkeypatch, ["eq", "-m", "m", "--witness", "copy ; swap", "copy"])
+    assert (code, out) == (0, "true\n[0]\n")
 
 
 def test_eq_boundary_mismatch_is_a_domain_error(capsys, monkeypatch):
@@ -112,6 +114,18 @@ def test_compose_rejects_mixed_models_and_bad_counts(capsys, monkeypatch, tmp_pa
     assert code == 1 and "not model m" in err
     code, _, err = run(capsys, monkeypatch, ["compose", str(c)])
     assert code == 1 and "exactly two" in err
+
+
+def test_compose_rejects_invalid_spans(capsys, monkeypatch):
+    # model c: two independent links on one port; model m: two equal links
+    bad_c = {"model": "c", "left": 1, "right": 1, "carrier": {"size": 2, "contention": []},
+             "lleg": [[0], [0]], "rleg": [[0], [0]]}
+    bad_m = {"model": "m", "left": 1, "right": 1, "carrier": 2,
+             "lleg": [[1], [1]], "rleg": [[1], [1]]}
+    for bad, good in ((bad_c, span_c.identity_span(1)), (bad_m, span_m.identity_span_m(1))):
+        for pair in ([bad, good.to_dict()], [good.to_dict(), bad]):
+            code, out, err = run(capsys, monkeypatch, ["compose"], stdin=json.dumps(pair))
+            assert (code, out) == (1, "") and "invalid span" in err
 
 
 def test_compose_boundary_mismatch_is_a_domain_error(capsys, monkeypatch, tmp_path):
