@@ -4,8 +4,9 @@ Subcommands: eval, compose, eq, suite, decompose, embed.  Span and
 cospan values travel as JSON, read from file arguments or standard
 input and written to standard output (or --output).  Span JSON is
 validated as it is read.  Exit status 0 is a clean answer (including
-"false"), 1 a domain error such as mismatched boundaries or an invalid
-span, 2 a parse or input error.
+"false"), 1 a domain error such as mismatched boundaries or a span that
+breaks the arrow or injectivity condition, 2 a parse or input error,
+including JSON of the wrong shape (see linkalg.shape).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from .equations import format_results, run_suite
 from .decompose import decompose
 from .span_c import Cospan, SpanC, embed_cospan
+from .shape import SpanFormatError, need
 from .span_m import SpanM
 from .terms import MODELS, TermSyntaxError, TermTypeError, eval_term, parse, pretty
 
@@ -33,12 +35,11 @@ def _load_json(path):
 
 
 def _load_span(obj):
-    if not isinstance(obj, dict):
-        raise ValueError("expected a span object")
+    model = need(obj, "model")
     for cls in (SpanC, SpanM):
-        if obj.get("model") == cls.MODEL:
+        if model == cls.MODEL:
             return cls.from_dict(obj)
-    raise ValueError('span JSON needs "model": "c" or "m"')
+    raise SpanFormatError('span JSON needs "model": "c" or "m"')
 
 
 def _emit(text, out_path):
@@ -68,7 +69,7 @@ def _cmd_compose(args):
     else:
         arr = _load_json(None)
         if not isinstance(arr, list) or len(arr) != 2:
-            raise ValueError("standard input must hold a JSON array of two spans")
+            raise SpanFormatError("standard input must hold a JSON array of two spans")
         spans = [_load_span(d) for d in arr]
     s, t = spans
     if type(s) is not type(t):
@@ -116,10 +117,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_embed(args):
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict):
-        raise ValueError("expected a cospan object")
-    cos = Cospan.from_dict(obj)
+    cos = Cospan.from_dict(_load_json(args.input))
     _emit(_dump(embed_cospan(cos).to_dict()), args.output)
     return 0
 
@@ -190,7 +188,7 @@ def main(argv=None):
     except TermSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, OSError, SpanFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TermTypeError, ValueError, KeyError, TypeError) as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .contention import CSet, coproduct, discrete, set_of
 from .crel import CRel, compose as crel_compose, lift_mask, op_graph, validate
+from .shape import nat, nat_keys, nat_rows, nats, need
 from .sync_c import min_sync_masks, sync_space
 
 
@@ -53,8 +54,22 @@ class SpanC:
 
     @classmethod
     def from_dict(cls, d):
-        """Load and validate; ValueError("invalid span: ...") if the legs break the arrow condition."""
-        return span_c(d["left"], d["right"], CSet.from_dict(d["carrier"]), d["lleg"], d["rleg"])
+        """Load and validate.
+
+        SpanFormatError if the JSON has the wrong shape; ValueError("invalid
+        span: ...") if the legs break the arrow condition.
+        """
+        left, right = nat_keys(d, "left", "right")
+        carrier = need(d, "carrier")
+        size = nat(need(carrier, "size"), "carrier size")
+        pairs = nat_rows(carrier, "contention", None, 2, size)
+        return span_c(
+            left,
+            right,
+            CSet(size, frozenset(tuple(p) for p in pairs)),
+            nat_rows(d, "lleg", size, None, left),
+            nat_rows(d, "rleg", size, None, right),
+        )
 
 
 def span_c(left, right, carrier, limages, rimages):
@@ -212,7 +227,11 @@ class Cospan:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["left"], d["right"], d["carrier"], tuple(d["lmap"]), tuple(d["rmap"]))
+        """Load; SpanFormatError if the JSON has the wrong shape."""
+        left, right, n = nat_keys(d, "left", "right", "carrier")
+        lmap = nats(need(d, "lmap"), "lmap", left, n)
+        rmap = nats(need(d, "rmap"), "rmap", right, n)
+        return cls(left, right, n, tuple(lmap), tuple(rmap))
 
 
 def embed_cospan(c):

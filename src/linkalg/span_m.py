@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multiset import MRel, Multiset, lift_m
+from .shape import nat_keys, nat_rows
 from .sync_m import min_msyncs
 
 
@@ -54,14 +55,18 @@ class SpanM:
 
     @classmethod
     def from_dict(cls, d):
-        """Load and validate; ValueError("invalid span: ...") if the legs are not jointly injective."""
-        n = d["carrier"]
+        """Load and validate.
+
+        SpanFormatError if the JSON has the wrong shape; ValueError("invalid
+        span: ...") if the legs are not jointly injective.
+        """
+        left, right, n = nat_keys(d, "left", "right", "carrier")
         s = cls(
-            d["left"],
-            d["right"],
+            left,
+            right,
             n,
-            MRel(n, d["left"], tuple(Multiset(tuple(r)) for r in d["lleg"])),
-            MRel(n, d["right"], tuple(Multiset(tuple(r)) for r in d["rleg"])),
+            MRel(n, left, tuple(Multiset(tuple(r)) for r in nat_rows(d, "lleg", n, left))),
+            MRel(n, right, tuple(Multiset(tuple(r)) for r in nat_rows(d, "rleg", n, right))),
         )
         if not s.check():
             raise ValueError("invalid span: legs are not jointly injective")

@@ -5,12 +5,17 @@ For f: A -> X and g: B -> X, a synchronisation is a pair of multisets
 are closed under sum and difference, and the minimal nonzero ones are
 finite (a Hilbert basis); they are computed by completion: grow
 candidate vectors one unit at a time towards the kernel, pruning
-anything that already dominates a known minimal solution.
+anything that already dominates a known minimal solution.  Each
+candidate carries its value and its inner products with the columns,
+so a step costs one vector addition, and the dominance test looks only
+at the minimal solutions that can dominate the new candidate (see
+min_msync_vectors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le
 
 from .multiset import MRel, Multiset, lift_m
 
@@ -34,47 +39,56 @@ def _columns(f, g):
 
 
 def min_msync_vectors(f, g):
-    """Minimal nonzero solutions as concatenated (u, v) count tuples."""
+    """Minimal nonzero solutions as concatenated (u, v) count tuples.
+
+    Completion by degree (Pottier; Contejean & Devie): the frontier holds
+    the candidates t of degree k, each with its value v = sum t[j]*col[j]
+    and its row d[j] = <v, col[j]>.  A candidate of value zero is minimal.
+    Any other t grows to s = t + e[i] wherever d[i] < 0, i.e. where col[i]
+    points against v (Pottier's criterion); s inherits v + col[i] and
+    d + gram[i], with gram[i][j] = <col[i], col[j]>, so no value is
+    recomputed.  s is dropped when it is already on the next frontier or
+    dominates a known minimal solution b (b <= s pointwise).
+
+    Only basis elements with b[i] == s[i] can dominate s.  The candidate t
+    dominates no basis element: those of degree < k were ruled out when t
+    was created, and one of degree k that is <= t would be t itself, whose
+    value is nonzero.  So if b <= s = t + e[i] and b[i] <= t[i], then
+    b <= t, which cannot be; hence b[i] = t[i] + 1 = s[i].  The basis is
+    indexed by (coordinate, nonzero count) to find exactly those b.
+    """
     if f.cod != g.cod:
         raise ValueError("arrows must share a codomain")
     n = f.dom + g.dom
     cols = _columns(f, g)
-    dim = f.cod
-
-    def value(t):
-        acc = [0] * dim
-        for i, c in enumerate(t):
-            if c:
-                col = cols[i]
-                for j in range(dim):
-                    acc[j] += c * col[j]
-        return tuple(acc)
+    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in cols) for ci in cols]
 
     basis = []
-    frontier = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        frontier.append(e)
-    frontier = sorted(set(frontier))
+    index = {}  # (i, c) -> basis elements b with b[i] == c > 0
+    frontier = {
+        tuple(1 if j == i else 0 for j in range(n)): (cols[i], gram[i])
+        for i in range(n)
+    }
     while frontier:
-        nxt = set()
-        vals = {}
-        for t in frontier:
-            v = value(t)
-            vals[t] = v
-            if all(c == 0 for c in v):
-                basis.append(t)
-        for t in frontier:
-            v = vals[t]
-            if all(c == 0 for c in v):
+        grow = []
+        for t, (v, d) in frontier.items():
+            if any(v):
+                grow.append((t, v, d))
                 continue
+            basis.append(t)
+            for i, c in enumerate(t):
+                if c:
+                    index.setdefault((i, c), []).append(t)
+        nxt = {}
+        for t, v, d in grow:
             for i in range(n):
-                col = cols[i]
-                if sum(a * b for a, b in zip(v, col)) < 0:
-                    s = tuple(t[j] + (1 if j == i else 0) for j in range(n))
-                    if not any(all(bc <= sc for bc, sc in zip(b, s)) for b in basis):
-                        nxt.add(s)
-        frontier = sorted(nxt)
+                if d[i] >= 0:
+                    continue
+                s = t[:i] + (t[i] + 1,) + t[i + 1:]
+                if s in nxt or any(all(map(le, b, s)) for b in index.get((i, s[i]), ())):
+                    continue
+                nxt[s] = (tuple(map(add, v, cols[i])), tuple(map(add, d, gram[i])))
+        frontier = nxt
     return sorted(basis)
 
 

@@ -12,7 +12,7 @@ accepted on input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import span_c, span_m
 
@@ -72,32 +72,30 @@ class Atom:
         return ARITIES[self.name][1]
 
 
+# dom and cod are stored, not derived on each access, so that reading
+# them on a long chain does not recurse down its spine
 @dataclass(frozen=True)
 class Seq:
     fst: object
     snd: object
+    dom: int = field(init=False, repr=False, compare=False)
+    cod: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def dom(self):
-        return self.fst.dom
-
-    @property
-    def cod(self):
-        return self.snd.cod
+    def __post_init__(self):
+        object.__setattr__(self, "dom", self.fst.dom)
+        object.__setattr__(self, "cod", self.snd.cod)
 
 
 @dataclass(frozen=True)
 class Ten:
     fst: object
     snd: object
+    dom: int = field(init=False, repr=False, compare=False)
+    cod: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def dom(self):
-        return self.fst.dom + self.snd.dom
-
-    @property
-    def cod(self):
-        return self.fst.cod + self.snd.cod
+    def __post_init__(self):
+        object.__setattr__(self, "dom", self.fst.dom + self.snd.dom)
+        object.__setattr__(self, "cod", self.fst.cod + self.snd.cod)
 
 
 def _tokenize(text):
@@ -189,39 +187,54 @@ def parse(text):
 
 
 def pretty(t):
-    """Render a term; inverse of parse up to whitespace."""
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Ten):
-        return f"{_pretty_tensor_part(t.fst)} * {_pretty_tensor_part(t.snd)}"
-    if isinstance(t, Seq):
-        return f"{pretty(t.fst)} ; {pretty(t.snd)}"
-    raise TypeError(f"not a term: {t!r}")
+    """Render a term; inverse of parse up to whitespace.
 
-
-def _pretty_tensor_part(t):
-    if isinstance(t, Seq):
-        return f"({pretty(t)})"
-    return pretty(t)
+    Works from an explicit stack of terms and literal text (1-tuples),
+    so that a long flat chain does not reach the recursion limit.
+    """
+    out = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            out.append(x[0])
+        elif isinstance(x, Atom):
+            out.append(x.name)
+        elif isinstance(x, Seq):
+            stack += (x.snd, (" ; ",), x.fst)
+        elif isinstance(x, Ten):
+            for part in (x.snd, (" * ",), x.fst):
+                stack += ((")",), part, ("(",)) if isinstance(part, Seq) else (part,)
+        else:
+            raise TypeError(f"not a term: {x!r}")
+    return "".join(out)
 
 
 def eval_term(t, model):
-    """Evaluate in the chosen model, 'c' or 'm'."""
+    """Evaluate in the chosen model, 'c' or 'm'.
+
+    Post-order over an explicit stack: each node's first operand, then
+    its second, then the node itself, as a recursive evaluation would.
+    """
     mod = MODELS.get(model)
     if mod is None:
         raise ValueError(f"unknown model {model!r}")
     gens = mod.generators()
-
-    def go(t):
-        if isinstance(t, Atom):
-            return gens[t.name]
-        if isinstance(t, Seq):
-            return mod.compose(go(t.fst), go(t.snd))
-        if isinstance(t, Ten):
-            return mod.tensor(go(t.fst), go(t.snd))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+    values = []
+    stack = [(t, False)]
+    while stack:
+        x, operands_done = stack.pop()
+        if isinstance(x, Atom):
+            values.append(gens[x.name])
+        elif not isinstance(x, (Seq, Ten)):
+            raise TypeError(f"not a term: {x!r}")
+        elif operands_done:
+            snd = values.pop()
+            fst = values.pop()
+            values.append((mod.compose if isinstance(x, Seq) else mod.tensor)(fst, snd))
+        else:
+            stack += ((x, True), (x.snd, False), (x.fst, False))
+    return values[0]
 
 
 def eval_c(t):

@@ -1,7 +1,8 @@
 """Reference implementations the library is tested against.
 
 Deliberately naive: exhaustive enumeration over independent subsets, or
-over a bounded box of multisets.
+over a bounded box of multisets, and the Hilbert basis completion in its
+first, unindexed form, which reaches systems too wide for the box.
 """
 
 import itertools
@@ -75,3 +76,56 @@ def box_min_msyncs(f, g, bound):
             continue
         accepted.append(cand)
     return sorted(accepted)
+
+
+def _msync_columns(f, g):
+    cols = [tuple(f.rows[a].counts) for a in range(f.dom)]
+    cols += [tuple(-c for c in g.rows[b].counts) for b in range(g.dom)]
+    return cols
+
+
+def naive_min_msync_vectors(f, g):
+    """The completion as first written: every value recomputed, every
+    candidate checked against the whole basis.  Returns the same sorted
+    list as sync_m.min_msync_vectors."""
+    if f.cod != g.cod:
+        raise ValueError("arrows must share a codomain")
+    n = f.dom + g.dom
+    cols = _msync_columns(f, g)
+    dim = f.cod
+
+    def value(t):
+        acc = [0] * dim
+        for i, c in enumerate(t):
+            if c:
+                col = cols[i]
+                for j in range(dim):
+                    acc[j] += c * col[j]
+        return tuple(acc)
+
+    basis = []
+    frontier = []
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        frontier.append(e)
+    frontier = sorted(set(frontier))
+    while frontier:
+        nxt = set()
+        vals = {}
+        for t in frontier:
+            v = value(t)
+            vals[t] = v
+            if all(c == 0 for c in v):
+                basis.append(t)
+        for t in frontier:
+            v = vals[t]
+            if all(c == 0 for c in v):
+                continue
+            for i in range(n):
+                col = cols[i]
+                if sum(a * b for a, b in zip(v, col)) < 0:
+                    s = tuple(t[j] + (1 if j == i else 0) for j in range(n))
+                    if not any(all(bc <= sc for bc, sc in zip(b, s)) for b in basis):
+                        nxt.add(s)
+        frontier = sorted(nxt)
+    return sorted(basis)

@@ -175,3 +175,38 @@ def test_bad_json_and_missing_files_exit_two(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _, err = run(capsys, monkeypatch, ["compose", str(tmp_path / "gone.json"), "-"])
     assert code == 2
+
+
+def test_malformed_span_json_exits_two(capsys, monkeypatch):
+    good_m = span_m.identity_span_m(1).to_dict()
+    good_c = span_c.identity_span(1).to_dict()
+    cases = [
+        ({**good_m, "right": True}, "right must be a natural number, got true"),
+        ({**good_m, "lleg": [[1.5]]}, "lleg[0][0] must be a natural number, got 1.5"),
+        ({k: v for k, v in good_m.items() if k != "carrier"}, 'missing key "carrier"'),
+        ({**good_m, "carrier": -1}, "carrier must be a natural number, got -1"),
+        ({**good_m, "rleg": [[-1]]}, "rleg[0][0] must be a natural number"),
+        ({**good_m, "carrier": 2}, "lleg has 1 entries, expected 2"),
+        ({**good_m, "rleg": [[1, 0]]}, "rleg[0] has 2 entries, expected 1"),
+        ({**good_c, "left": 1.0}, "left must be a natural number, got 1.0"),
+        ({**good_c, "carrier": {"size": True, "contention": []}}, "carrier size must be a natural number"),
+        ({**good_c, "carrier": {"size": 1}}, 'missing key "contention"'),
+        ({**good_c, "rleg": [[0], [0]]}, "rleg has 2 entries, expected 1"),
+        ({**good_c, "lleg": [[1]]}, "lleg[0][0] is 1, out of range for size 1"),
+        ({**good_c, "model": "x"}, 'needs "model"'),
+        ([good_c], "expected a JSON object"),
+    ]
+    for bad, message in cases:
+        good = good_c if isinstance(bad, list) or bad["model"] == "c" else good_m
+        code, out, err = run(capsys, monkeypatch, ["compose"], stdin=json.dumps([good, bad]))
+        assert (code, out) == (2, "") and message in err, (bad, err)
+    code, out, err = run(
+        capsys, monkeypatch, ["decompose", "-m", "m"], stdin=json.dumps({**good_m, "lleg": [[1.5]]})
+    )
+    assert (code, out) == (2, "")
+    code, _, err = run(capsys, monkeypatch, ["compose"], stdin=json.dumps([good_m]))
+    assert code == 2 and "array of two spans" in err
+    cospan = Cospan(2, 1, 2, (0, 1), (0,)).to_dict()
+    for bad in ({**cospan, "lmap": [0]}, {**cospan, "rmap": [2]}, {**cospan, "carrier": False}, [cospan]):
+        code, out, _ = run(capsys, monkeypatch, ["embed"], stdin=json.dumps(bad))
+        assert (code, out) == (2, "")

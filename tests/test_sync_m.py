@@ -1,6 +1,7 @@
 """Minimal multi-synchronisations and the weak pullback."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from linkalg.sync_m import (
     weak_pullback,
 )
 
-from oracles import box_min_msyncs
+from oracles import box_min_msyncs, naive_min_msync_vectors
 
 
 def two_to_one():
@@ -76,6 +77,27 @@ def test_matches_box_oracle(rng):
         got = min_msync_vectors(f, g)
         bound = max([4] + [c + 1 for t in got for c in t])
         assert got == [tuple(t) for t in box_min_msyncs(f, g, bound)]
+
+
+def test_matches_naive_completion():
+    """Systems too wide for the box oracle: 3-4 links a side over 3 ports
+    with weights <= 2, then small mixed shapes where some links have an
+    empty image (zero columns) or there are no ports at all.  The seed
+    keeps the reference near 1 s; some draws of this shape take it over
+    a minute."""
+    rng = random.Random(7)
+
+    def leg(links, ports, max_entry, p_zero):
+        rows = [[rng.randint(0, max_entry) for _ in range(ports)] for _ in range(links)]
+        return MRel(links, ports, tuple(Multiset((0,) * ports if rng.random() < p_zero else r) for r in rows))
+
+    for _ in range(20):
+        f, g = (leg(rng.randint(3, 4), 3, 2, 0.0) for _side in "fg")
+        assert min_msync_vectors(f, g) == naive_min_msync_vectors(f, g)
+    for _ in range(150):
+        ports = rng.randint(0, 3)
+        f, g = (leg(rng.randint(0, 3), ports, 2, 0.25) for _side in "fg")
+        assert min_msync_vectors(f, g) == naive_min_msync_vectors(f, g)
 
 
 def test_difference_of_nested_syncs_is_sync(rng):

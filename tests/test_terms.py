@@ -155,6 +155,18 @@ def test_eval_rejects_non_terms():
         pretty(object())
 
 
+def test_long_flat_chain_needs_no_recursion():
+    text = " ; ".join(["id"] * 1500)
+    t = parse(text)
+    assert pretty(t) == text
+    assert (t.dom, t.cod) == (1, 1)
+    assert span_c.iso_check(eval_c(t), span_c.identity_span(1))
+    assert span_m.iso_check(eval_m(t), span_m.identity_span_m(1))
+    assert check_equation(text, "id", "m")
+    wide = parse(" * ".join(["id"] * 1500))
+    assert (wide.dom, wide.cod) == (1500, 1500)
+
+
 def test_the_two_models_disagree_on_split_then_join():
     t = parse("split ; join")
     assert span_m.iso_check(eval_m(t), span_m.identity_span_m(1))
