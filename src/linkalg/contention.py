@@ -1,49 +1,53 @@
 """Finite carriers equipped with a contention relation.
 
 A carrier of size n is the ordinal {0, .., n-1}.  Contention is a
-reflexive symmetric relation stored as the set of unordered pairs of
-*distinct* elements; reflexive pairs are implicit.  Two elements are
-independent when they are distinct and not in contention.
+reflexive symmetric relation, stored as one adjacency bitmask per
+element: bit b of adj[a] is set when a and b are distinct and contend.
+Reflexive pairs are implicit.  Two elements are independent when they
+are distinct and not in contention.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 
-def _norm_pairs(size, pairs):
-    out = set()
-    for a, b in pairs:
-        if not (0 <= a < size and 0 <= b < size):
-            raise ValueError(f"contention pair ({a},{b}) out of range for size {size}")
-        if a == b:
-            continue  # reflexive pairs are implicit
-        out.add((min(a, b), max(a, b)))
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CSet:
-    """A finite set with a contention relation on it."""
+    """A finite set with a contention relation on it.
+
+    CSet(size, pairs) checks the pairs and drops reflexive ones;
+    CSet(size, adj=rows) takes rows derived from c-sets already built,
+    unchecked.
+    """
 
     size: int
-    contention: frozenset = field(default_factory=frozenset)
+    adj: tuple
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size, contention=(), *, adj=None):
+        if size < 0:
             raise ValueError("size must be a natural number")
-        object.__setattr__(self, "contention", _norm_pairs(self.size, self.contention))
+        if adj is None:
+            rows = [0] * size
+            for a, b in contention:
+                if not (0 <= a < size and 0 <= b < size):
+                    raise ValueError(f"contention pair ({a},{b}) out of range for size {size}")
+                if a != b:  # reflexive pairs are implicit
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            adj = rows
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "adj", tuple(adj))
 
-    @cached_property
-    def adj(self):
-        """Adjacency bitmasks, one per element, self bit excluded."""
-        masks = [0] * self.size
-        for a, b in self.contention:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        return tuple(masks)
+    def pairs(self):
+        """The contention pairs (a, b), a < b, in increasing order."""
+        for a, row in enumerate(self.adj):
+            yield from ((a, b) for b in members(row) if b > a)
+
+    @property
+    def contention(self):
+        """The contention as a frozenset of pairs (a, b) with a < b."""
+        return frozenset(self.pairs())
 
     def contends(self, a, b):
         """Reflexive closure: every element contends with itself."""
@@ -52,11 +56,11 @@ class CSet:
         return a == b or (self.adj[a] >> b) & 1 == 1
 
     def to_dict(self):
-        return {"size": self.size, "contention": [list(p) for p in sorted(self.contention)]}
+        return {"size": self.size, "contention": [list(p) for p in self.pairs()]}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["size"], frozenset(tuple(p) for p in d["contention"]))
+        return cls(d["size"], d["contention"])
 
 
 def discrete(n):
@@ -70,7 +74,8 @@ def discrete(n):
 
 def full(n):
     """The c-set on n elements where everything contends with everything."""
-    return CSet(n, frozenset(itertools.combinations(range(n), 2)))
+    every = (1 << n) - 1
+    return CSet(n, adj=[every ^ (1 << a) for a in range(n)])
 
 
 def coproduct(x, y):
@@ -78,12 +83,16 @@ def coproduct(x, y):
 
     Returns the sum c-set together with the two injection index maps.
     """
-    pairs = set(x.contention)
-    for a, b in y.contention:
-        pairs.add((a + x.size, b + x.size))
-    inl = tuple(range(x.size))
-    inr = tuple(range(x.size, x.size + y.size))
-    return CSet(x.size + y.size, frozenset(pairs)), inl, inr
+    z = CSet(x.size + y.size, adj=x.adj + tuple(row << x.size for row in y.adj))
+    return z, tuple(range(x.size)), tuple(range(x.size, z.size))
+
+
+def members(mask):
+    """The members of a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_of(x, elems):
@@ -96,14 +105,7 @@ def mask_of(x, elems):
 
 
 def set_of(mask):
-    out = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(members(mask))
 
 
 def _indep_mask(x, m):

@@ -11,7 +11,6 @@ category; tests exercise the unit and associativity laws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .contention import (
@@ -20,6 +19,7 @@ from .contention import (
     discrete,
     indep_masks,
     mask_of,
+    members,
     pc_contends_masks,
     set_of,
 )
@@ -33,40 +33,46 @@ class CheckResult(NamedTuple):
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CRel:
-    """dom, cod: c-sets; map: per dom element, an image subset of cod."""
+    """dom, cod: c-sets; img_masks: per dom element, its image in cod as a bitmask.
+
+    CRel(dom, cod, images) checks the number and range of the images;
+    CRel(dom, cod, masks=masks) takes masks derived from arrows already
+    built, unchecked.  validate checks the arrow conditions.
+    """
 
     dom: CSet
     cod: CSet
-    map: tuple
+    img_masks: tuple
 
-    def __post_init__(self):
-        if len(self.map) != self.dom.size:
-            raise ValueError(f"map has {len(self.map)} entries for domain size {self.dom.size}")
-        object.__setattr__(self, "map", tuple(frozenset(u) for u in self.map))
-        for u in self.map:
-            for e in u:
-                if not (0 <= e < self.cod.size):
-                    raise ValueError(f"image element {e} out of range for codomain size {self.cod.size}")
+    def __init__(self, dom, cod, images=(), *, masks=None):
+        if masks is None:
+            if len(images) != dom.size:
+                raise ValueError(f"map has {len(images)} entries for domain size {dom.size}")
+            masks = [mask_of(cod, u) for u in images]
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "img_masks", tuple(masks))
 
-    @cached_property
-    def img_masks(self):
-        return tuple(mask_of(self.cod, u) for u in self.map)
+    @property
+    def map(self):
+        """Per dom element, its image as a frozenset."""
+        return tuple(set_of(m) for m in self.img_masks)
 
     def __call__(self, x):
-        return self.map[x]
+        return set_of(self.img_masks[x])
 
     def to_dict(self):
         return {
             "dom": self.dom.to_dict(),
             "cod": self.cod.to_dict(),
-            "map": [sorted(u) for u in self.map],
+            "map": [list(members(m)) for m in self.img_masks],
         }
 
     @classmethod
     def from_dict(cls, d):
-        return cls(CSet.from_dict(d["dom"]), CSet.from_dict(d["cod"]), tuple(frozenset(u) for u in d["map"]))
+        return cls(CSet.from_dict(d["dom"]), CSet.from_dict(d["cod"]), d["map"])
 
 
 def validate(r):
@@ -74,17 +80,16 @@ def validate(r):
     for x, m in enumerate(r.img_masks):
         if not _indep_mask(r.cod, m):
             return CheckResult(False, f"image of {x} is not independent")
-    for x in range(r.dom.size):
+    for x, row in enumerate(r.dom.adj):
         for y in range(x + 1, r.dom.size):
-            if pc_contends_masks(r.cod, r.img_masks[x], r.img_masks[y]):
-                if not r.dom.contends(x, y):
-                    return CheckResult(False, f"images of {x} and {y} contend but {x},{y} are independent")
+            if not (row >> y) & 1 and pc_contends_masks(r.cod, r.img_masks[x], r.img_masks[y]):
+                return CheckResult(False, f"images of {x} and {y} contend but {x},{y} are independent")
     return CheckResult(True)
 
 
 def crel(dom, cod, images):
     """Build and validate in one go; raises on an invalid arrow."""
-    r = CRel(dom, cod, tuple(frozenset(u) for u in images))
+    r = CRel(dom, cod, images)
     res = validate(r)
     if not res:
         raise ValueError(f"invalid relation: {res.reason}")
@@ -92,7 +97,7 @@ def crel(dom, cod, images):
 
 
 def identity(x):
-    return CRel(x, x, tuple(frozenset([i]) for i in range(x.size)))
+    return CRel(x, x, masks=[1 << i for i in range(x.size)])
 
 
 def lift_mask(f, umask):
@@ -122,7 +127,7 @@ def compose(f, g):
     """Kleisli composite: x maps to the lift of g over f(x)."""
     if f.cod != g.dom:
         raise ValueError("middle objects differ")
-    return CRel(f.dom, g.cod, tuple(set_of(lift_mask(g, m)) for m in f.img_masks))
+    return CRel(f.dom, g.cod, masks=[lift_mask(g, m) for m in f.img_masks])
 
 
 def graph(fn, cod_size, dom=None):
@@ -134,7 +139,7 @@ def graph(fn, cod_size, dom=None):
     """
     if dom is None:
         dom = discrete(len(fn))
-    return CRel(dom, discrete(cod_size), tuple(frozenset([v]) for v in fn))
+    return CRel(dom, discrete(cod_size), [[v] for v in fn])
 
 
 def op_graph(fn, cod_size):
@@ -143,18 +148,18 @@ def op_graph(fn, cod_size):
     >>> [sorted(u) for u in op_graph([0, 0], 1).map]
     [[0, 1]]
     """
-    pre = [set() for _ in range(cod_size)]
+    pre = [0] * cod_size
     for x, v in enumerate(fn):
         if not (0 <= v < cod_size):
             raise ValueError(f"function value {v} out of range")
-        pre[v].add(x)
-    return CRel(discrete(cod_size), discrete(len(fn)), tuple(frozenset(p) for p in pre))
+        pre[v] |= 1 << x
+    return CRel(discrete(cod_size), discrete(len(fn)), masks=pre)
 
 
 def random_cset(rng, max_size=4, p_edge=0.4):
     n = rng.randint(0, max_size)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p_edge]
-    return CSet(n, frozenset(pairs))
+    return CSet(n, pairs)
 
 
 def random_crel(rng, dom=None, cod=None, max_size=4):
@@ -175,4 +180,4 @@ def random_crel(rng, dom=None, cod=None, max_size=4):
             if ok:
                 choices.append(m)
         images.append(rng.choice(choices))  # 0 (empty image) is always a choice
-    return CRel(dom, cod, tuple(set_of(m) for m in images))
+    return CRel(dom, cod, masks=images)

@@ -11,6 +11,7 @@ evaluating the term and checking isomorphism with the input.
 
 from __future__ import annotations
 
+from .contention import members
 from .span_c import SpanC
 from .span_m import SpanM
 from .terms import MODELS, Atom, Seq, Ten, eval_term, pretty
@@ -122,14 +123,8 @@ def _route(perm):
 
 def _gadget_pairs(s):
     """Contention pairs of s that sharing a boundary port does not force."""
-    out = []
-    for a, b in sorted(s.carrier.contention):
-        if s.lleg.map[a] & s.lleg.map[b]:
-            continue
-        if s.rleg.map[a] & s.rleg.map[b]:
-            continue
-        out.append((a, b))
-    return out
+    lm, rm = s.lleg.img_masks, s.rleg.img_masks
+    return [(a, b) for a, b in s.carrier.pairs() if not (lm[a] & lm[b] or rm[a] & rm[b])]
 
 
 def _assemble(k, l, n, la, ra, gads):
@@ -187,10 +182,9 @@ def _assemble(k, l, n, la, ra, gads):
 
 def _synthesize(s):
     if isinstance(s, SpanC):
-        n = s.carrier.size
-        la = [sorted(s.lleg.map[x]) for x in range(n)]
-        ra = [sorted(s.rleg.map[x]) for x in range(n)]
-        return _assemble(s.left, s.right, n, la, ra, _gadget_pairs(s))
+        la = [list(members(m)) for m in s.lleg.img_masks]
+        ra = [list(members(m)) for m in s.rleg.img_masks]
+        return _assemble(s.left, s.right, s.carrier.size, la, ra, _gadget_pairs(s))
     la = [
         [p for p in range(s.left) for _ in range(s.lleg.rows[x].counts[p])]
         for x in range(s.carrier)

@@ -174,6 +174,6 @@ def forget_contention(s):
     Image subsets become 0/1 count vectors and the contention is
     dropped; only meaningful when the resulting pairs stay distinct.
     """
-    lrows = [[1 if j in s.lleg.map[i] else 0 for j in range(s.left)] for i in range(s.carrier.size)]
-    rrows = [[1 if j in s.rleg.map[i] else 0 for j in range(s.right)] for i in range(s.carrier.size)]
+    lrows = [[(m >> j) & 1 for j in range(s.left)] for m in s.lleg.img_masks]
+    rrows = [[(m >> j) & 1 for j in range(s.right)] for m in s.rleg.img_masks]
     return span_m.span_m(s.left, s.right, lrows, rrows)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contention import CSet, coproduct, discrete, set_of
-from .crel import CRel, compose as crel_compose, lift_mask, op_graph, validate
+from .contention import CSet, coproduct, discrete, members
+from .crel import CRel, compose as crel_compose, identity as crel_identity, op_graph, validate
 from .shape import nat, nat_keys, nat_rows, nats, need
-from .sync_c import min_sync_masks, sync_space
+from .sync_c import pullback
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class SpanC:
             "left": self.left,
             "right": self.right,
             "carrier": self.carrier.to_dict(),
-            "lleg": [sorted(u) for u in self.lleg.map],
-            "rleg": [sorted(u) for u in self.rleg.map],
+            "lleg": [list(members(m)) for m in self.lleg.img_masks],
+            "rleg": [list(members(m)) for m in self.rleg.img_masks],
         }
 
     @classmethod
@@ -66,7 +66,7 @@ class SpanC:
         return span_c(
             left,
             right,
-            CSet(size, frozenset(tuple(p) for p in pairs)),
+            CSet(size, pairs),
             nat_rows(d, "lleg", size, None, left),
             nat_rows(d, "rleg", size, None, right),
         )
@@ -77,8 +77,8 @@ def span_c(left, right, carrier, limages, rimages):
         left,
         right,
         carrier,
-        CRel(carrier, discrete(left), tuple(frozenset(u) for u in limages)),
-        CRel(carrier, discrete(right), tuple(frozenset(u) for u in rimages)),
+        CRel(carrier, discrete(left), limages),
+        CRel(carrier, discrete(right), rimages),
     )
     res = s.check()
     if not res:
@@ -88,47 +88,33 @@ def span_c(left, right, carrier, limages, rimages):
 
 def identity_span(n):
     x = discrete(n)
-    return SpanC(n, n, x, CRel(x, x, tuple(frozenset([i]) for i in range(n))), CRel(x, x, tuple(frozenset([i]) for i in range(n))))
+    return SpanC(n, n, x, crel_identity(x), crel_identity(x))
 
 
 def compose(s, t):
     """Pull back s.rleg against t.lleg and push the outer legs through."""
     if s.right != t.left:
         raise ValueError(f"boundary mismatch: {s.right} vs {t.left}")
-    pairs = min_sync_masks(s.rleg, t.lleg)
-    space = sync_space(s.rleg, t.lleg, pairs)
-    lmap = tuple(set_of(lift_mask(s.lleg, mu)) for mu, _ in pairs)
-    rmap = tuple(set_of(lift_mask(t.rleg, mv)) for _, mv in pairs)
-    return SpanC(
-        s.left,
-        t.right,
-        space,
-        CRel(space, discrete(s.left), lmap),
-        CRel(space, discrete(t.right), rmap),
-    )
+    space, p, q = pullback(s.rleg, t.lleg)
+    return SpanC(s.left, t.right, space, crel_compose(p, s.lleg), crel_compose(q, t.rleg))
 
 
 def tensor(s, t):
-    carrier, _, inr = coproduct(s.carrier, t.carrier)
-    off = s.carrier.size
-    lmap = [frozenset(u) for u in s.lleg.map] + [frozenset(e + s.left for e in u) for u in t.lleg.map]
-    rmap = [frozenset(u) for u in s.rleg.map] + [frozenset(e + s.right for e in u) for u in t.rleg.map]
-    assert inr == tuple(range(off, off + t.carrier.size))
+    """Disjoint union of carriers; t's links and ports shift past s's."""
+    carrier, _, _ = coproduct(s.carrier, t.carrier)
+    lmasks = s.lleg.img_masks + tuple(m << s.left for m in t.lleg.img_masks)
+    rmasks = s.rleg.img_masks + tuple(m << s.right for m in t.rleg.img_masks)
     return SpanC(
         s.left + t.left,
         s.right + t.right,
         carrier,
-        CRel(carrier, discrete(s.left + t.left), tuple(lmap)),
-        CRel(carrier, discrete(s.right + t.right), tuple(rmap)),
+        CRel(carrier, discrete(s.left + t.left), masks=lmasks),
+        CRel(carrier, discrete(s.right + t.right), masks=rmasks),
     )
 
 
 def _signatures(s):
-    deg = [bin(m).count("1") for m in s.carrier.adj]
-    return [
-        (tuple(sorted(s.lleg.map[i])), tuple(sorted(s.rleg.map[i])), deg[i])
-        for i in range(s.carrier.size)
-    ]
+    return list(zip(s.lleg.img_masks, s.rleg.img_masks, (row.bit_count() for row in s.carrier.adj)))
 
 
 def find_iso(s, t):
@@ -140,30 +126,30 @@ def find_iso(s, t):
         return None
     n = s.carrier.size
     cands = [[j for j in range(n) if sig_t[j] == sig_s[i]] for i in range(n)]
+    s_adj, t_adj = s.carrier.adj, t.carrier.adj
     assignment = [-1] * n
-    used = [False] * n
+    used = 0  # bitmask of the elements of t assigned so far
     tried = [0] * n  # per carrier element of s, how many of its candidates were tried
-
-    def fits(i, j):
-        for k in range(i):
-            if s.carrier.contends(i, k) != t.carrier.contends(j, assignment[k]):
-                return False
-        return True
 
     # depth-first over i with an explicit stack, so that carrier size is
     # not bounded by the recursion limit
     i = 0
     while 0 <= i < n:
         if assignment[i] >= 0:  # back from a dead end: undo this element's choice
-            used[assignment[i]] = False
+            used ^= 1 << assignment[i]
             assignment[i] = -1
+        # j fits i when its assigned neighbours are the images of i's
+        # neighbours among 0..i-1
+        want = 0
+        for k in members(s_adj[i] & ((1 << i) - 1)):
+            want |= 1 << assignment[k]
         row = cands[i]
         while tried[i] < len(row):
             j = row[tried[i]]
             tried[i] += 1
-            if not used[j] and fits(i, j):
+            if not (used >> j) & 1 and t_adj[j] & used == want:
                 assignment[i] = j
-                used[j] = True
+                used |= 1 << j
                 i += 1
                 break
         else:

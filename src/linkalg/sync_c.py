@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contention import (
-    CSet,
-    mask_of,
-    pc_contends_masks,
-    set_of,
-    _indep_mask,
-)
+from .contention import CSet, mask_of, members, set_of, _indep_mask
 from .crel import CRel, lift_mask, validate
 
 
@@ -94,8 +88,8 @@ def min_sync_masks(f, g):
                 break
         if not dominated:
             out.append((mu, mv))
-    out = sorted(set(out), key=lambda p: (tuple(sorted(set_of(p[0]))), tuple(sorted(set_of(p[1])))))
-    return out
+    # canonical order: by the sorted members of U, then of V
+    return sorted(out, key=lambda p: (tuple(members(p[0])), tuple(members(p[1]))))
 
 
 def min_syncs(f, g):
@@ -106,14 +100,29 @@ def min_syncs(f, g):
 
 
 def sync_space(f, g, pairs):
-    cont = set()
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pc_contends_masks(f.dom, pairs[i][0], pairs[j][0]) or pc_contends_masks(
-                g.dom, pairs[i][1], pairs[j][1]
-            ):
-                cont.add((i, j))
-    return CSet(len(pairs), frozenset(cont))
+    """The c-set on the synchronisations (umask, vmask) in pairs.
+
+    Two contend when their U parts or their V parts contend as subsets.
+    For every element e of either domain, holders[e] holds the
+    synchronisations whose part on that side contains e, and touches[e]
+    those whose part contains e or an element contending with e; a
+    synchronisation's row is the OR of touches over the members of its
+    two parts, less its own bit.
+    """
+    rows = [0] * len(pairs)
+    for side, dom in enumerate((f.dom, g.dom)):
+        holders = [0] * dom.size
+        for i, p in enumerate(pairs):
+            for e in members(p[side]):
+                holders[e] |= 1 << i
+        touches = list(holders)
+        for e, row in enumerate(dom.adj):
+            for nb in members(row):
+                touches[e] |= holders[nb]
+        for i, p in enumerate(pairs):
+            for e in members(p[side]):
+                rows[i] |= touches[e]
+    return CSet(len(pairs), adj=[row & ~(1 << i) for i, row in enumerate(rows)])
 
 
 def pullback(f, g):
@@ -124,8 +133,8 @@ def pullback(f, g):
     """
     pairs = min_sync_masks(f, g)
     space = sync_space(f, g, pairs)
-    p = CRel(space, f.dom, tuple(set_of(mu) for mu, _ in pairs))
-    q = CRel(space, g.dom, tuple(set_of(mv) for _, mv in pairs))
+    p = CRel(space, f.dom, masks=[mu for mu, _ in pairs])
+    q = CRel(space, g.dom, masks=[mv for _, mv in pairs])
     return space, p, q
 
 
@@ -148,11 +157,9 @@ def mediator(f, g, alpha, beta):
         au, bv = alpha.img_masks[z], beta.img_masks[z]
         if lift_mask(f, au) != lift_mask(g, bv):
             raise ValueError(f"not a cone: lifts differ at element {z}")
-        chosen = frozenset(
-            i for i, (mu, mv) in enumerate(pairs) if mu & ~au == 0 and mv & ~bv == 0
-        )
-        images.append(chosen)
-    h = CRel(alpha.dom, space, tuple(images))
+        below = (1 << i for i, (mu, mv) in enumerate(pairs) if mu & ~au == 0 and mv & ~bv == 0)
+        images.append(sum(below))  # distinct bits: the sum is their OR
+    h = CRel(alpha.dom, space, masks=images)
     if not validate(h):
         raise ValueError("mediating map is not a valid arrow")
     return h

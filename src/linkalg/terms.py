@@ -131,59 +131,58 @@ def _tokenize(text):
 
 
 def parse(text):
-    """Parse to a Term and typecheck it."""
+    """Parse to a Term and typecheck it.
+
+    Shift-reduce with an explicit stack holding one frame per open
+    parenthesis, so that nesting depth is not bounded by the recursion
+    limit.  Errors are raised at the same tokens, with the same
+    messages, as a recursive descent over the grammar would raise them.
+    """
     toks = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def advance():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def parse_atom():
-        kind, val, at = peek()
-        if kind == "name":
-            advance()
-            if val not in ARITIES:
-                raise TermSyntaxError(f"unknown generator {val!r}", at)
-            return Atom(val)
+    pos = 0
+    frames = []  # (term, factor, semi) of each enclosing open parenthesis
+    # the innermost open term: its sequence so far, its open factor and
+    # the position of the ";" before that factor
+    term = factor = semi = None
+    while True:
+        kind, val, at = toks[pos]
+        pos += 1
         if kind == "(":
-            advance()
-            t = parse_term()
-            kind2, _, at2 = peek()
-            if kind2 != ")":
-                raise TermSyntaxError("expected ')'", at2)
-            advance()
-            return t
-        raise TermSyntaxError(f"expected a generator or '(', found {val or kind!r}", at)
-
-    def parse_factor():
-        t = parse_atom()
-        while peek()[0] == "*":
-            advance()
-            t = Ten(t, parse_atom())
-        return t
-
-    def parse_term():
-        t = parse_factor()
-        while peek()[0] == ";":
-            _, _, at = advance()
-            rhs = parse_factor()
-            if t.cod != rhs.dom:
+            frames.append((term, factor, semi))
+            term = factor = None
+            continue
+        if kind != "name":
+            raise TermSyntaxError(f"expected a generator or '(', found {val or kind!r}", at)
+        if val not in ARITIES:
+            raise TermSyntaxError(f"unknown generator {val!r}", at)
+        atom = Atom(val)
+        while True:  # fold in the atom, then every parenthesis it closes
+            factor = atom if factor is None else Ten(factor, atom)
+            kind, val, at = toks[pos]
+            if kind == "*":
+                break
+            if term is None:
+                term = factor
+            elif term.cod != factor.dom:
                 raise TermTypeError(
-                    f"cannot compose {t.cod} outputs with {rhs.dom} inputs (near position {at})"
+                    f"cannot compose {term.cod} outputs with {factor.dom} inputs (near position {semi})"
                 )
-            t = Seq(t, rhs)
-        return t
-
-    t = parse_term()
-    kind, val, at = peek()
-    if kind != "end":
-        raise TermSyntaxError(f"unexpected {val!r}", at)
-    return t
+            else:
+                term = Seq(term, factor)
+            factor = None
+            if kind == ";":
+                semi = at
+                break
+            if not frames:
+                if kind != "end":
+                    raise TermSyntaxError(f"unexpected {val!r}", at)
+                return term
+            if kind != ")":
+                raise TermSyntaxError("expected ')'", at)
+            pos += 1
+            atom = term
+            term, factor, semi = frames.pop()
+        pos += 1
 
 
 def pretty(t):

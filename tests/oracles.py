@@ -7,7 +7,7 @@ first, unindexed form, which reaches systems too wide for the box.
 
 import itertools
 
-from linkalg.contention import CSet, indep_masks, set_of
+from linkalg.contention import CSet, indep_masks, pc_contends_masks, set_of
 from linkalg.crel import CRel, lift_mask, validate
 from linkalg.multiset import Multiset, lift_m
 
@@ -50,6 +50,20 @@ def naive_min_sync_masks(f, g):
         accepted,
         key=lambda p: (tuple(sorted(set_of(p[0]))), tuple(sorted(set_of(p[1])))),
     )
+
+
+def naive_sync_space(f, g, pairs):
+    """Contention on synchronisations as first written: every pair of
+    synchronisations tested part by part.  Returns the same c-set as
+    sync_c.sync_space."""
+    cont = set()
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if pc_contends_masks(f.dom, pairs[i][0], pairs[j][0]) or pc_contends_masks(
+                g.dom, pairs[i][1], pairs[j][1]
+            ):
+                cont.add((i, j))
+    return CSet(len(pairs), frozenset(cont))
 
 
 def box_min_msyncs(f, g, bound):

@@ -31,6 +31,12 @@ def test_eval_prints_one_deterministic_json_line(capsys, monkeypatch):
     assert obj == eval_c(parse("copy ; merge")).to_dict()
 
 
+def test_eval_of_a_deeply_nested_term(capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, ["eval", "-m", "c", "(" * 600 + "id" + ")" * 600])
+    assert code == 0 and err == ""
+    assert json.loads(out) == span_c.identity_span(1).to_dict()
+
+
 def test_eval_reads_term_from_stdin(capsys, monkeypatch):
     code, from_arg, _ = run(capsys, monkeypatch, ["eval", "-m", "m", "split ; join"])
     code2, from_stdin, _ = run(capsys, monkeypatch, ["eval", "-m", "m"], stdin="split ; join")

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from linkalg.contention import CSet, discrete, full, indep_masks, set_of
-from linkalg.crel import CRel, compose, crel, identity, lift_mask, random_crel, validate
+from linkalg.crel import CRel, compose, crel, identity, lift_mask, random_crel, random_cset, validate
+from linkalg.span_c import compose as compose_spans, generators
 from linkalg.sync_c import (
     is_sync,
     mediator,
@@ -15,7 +16,7 @@ from linkalg.sync_c import (
     sync_space,
 )
 
-from oracles import all_crels, all_csets, naive_min_sync_masks
+from oracles import all_crels, all_csets, naive_min_sync_masks, naive_sync_space
 
 
 def test_is_sync_basic():
@@ -109,6 +110,24 @@ def test_minimal_syncs_inside_a_sync_are_disjoint(rng):
                     au |= a
                     bu |= b
                 assert (au, bu) == (mu, mv)
+
+
+def test_sync_space_matches_pairwise_reference(rng):
+    for _ in range(200):
+        cod = random_cset(rng, max_size=4)
+        f = random_crel(rng, cod=cod, max_size=6)
+        g = random_crel(rng, cod=cod, max_size=6)
+        pairs = min_sync_masks(f, g)
+        assert sync_space(f, g, pairs) == naive_sync_space(f, g, pairs)
+    # every pullback that evaluating (join ; split)^5 from the left builds
+    gens = generators()
+    s = gens["join"]
+    for name in ["split", "join"] * 4 + ["split"]:
+        t = gens[name]
+        pairs = min_sync_masks(s.rleg, t.lleg)
+        assert sync_space(s.rleg, t.lleg, pairs) == naive_sync_space(s.rleg, t.lleg, pairs)
+        s = compose_spans(s, t)
+    assert s.carrier.size == 64
 
 
 def test_pullback_legs_are_valid_and_commute(rng):

@@ -167,6 +167,14 @@ def test_long_flat_chain_needs_no_recursion():
     assert (wide.dom, wide.cod) == (1500, 1500)
 
 
+def test_deep_nesting_needs_no_recursion():
+    text = "(" * 600 + "id" + ")" * 600
+    assert parse(text) == Atom("id")
+    with pytest.raises(TermSyntaxError, match=r"expected '\)'") as e:
+        parse(text[:-1])
+    assert e.value.pos == len(text) - 1
+
+
 def test_the_two_models_disagree_on_split_then_join():
     t = parse("split ; join")
     assert span_m.iso_check(eval_m(t), span_m.identity_span_m(1))
