@@ -6,6 +6,8 @@ first, unindexed form, which reaches systems too wide for the box.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from linkalg.contention import CSet, indep_masks, pc_contends_masks, set_of
 from linkalg.crel import CRel, lift_mask, validate
@@ -143,3 +145,59 @@ def naive_min_msync_vectors(f, g):
                         nxt.add(s)
         frontier = sorted(nxt)
     return sorted(basis)
+
+
+def _kernel(cols):
+    """A basis of {x : sum x[i]*cols[i] = 0}, over the rationals."""
+    n = len(cols)
+    rows = [[Fraction(c[j]) for c in cols] for j in range(len(cols[0]))] if cols else []
+    pivots = []
+    for k in range(n):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][k]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [x / rows[top][k] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][k]:
+                rows[r] = [x - rows[r][k] * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(k)
+    basis = []
+    for free in (k for k in range(n) if k not in pivots):
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for row, k in zip(rows, pivots):
+            x[k] = -row[free]
+        basis.append(x)
+    return basis
+
+
+def naive_extreme_rays(f, g):
+    """Extreme rays of {x >= 0 : sum x[i]*col[i] = 0}, by their supports.
+
+    A ray's support S is minimal, so the columns on S have a kernel of
+    dimension one, and |S| <= rank + 1.  Every support of that size is
+    tried; those whose one kernel vector has a single sign on all of S
+    give a ray, scaled to coprime positive integers.  Sorted.
+    """
+    cols = _msync_columns(f, g)
+    n = len(cols)
+    rank = n - len(_kernel(cols))
+    rays = []
+    for size in range(1, rank + 2):
+        for support in itertools.combinations(range(n), size):
+            kernel = _kernel([cols[i] for i in support])
+            if len(kernel) != 1:
+                continue
+            x = kernel[0]
+            if not (all(c > 0 for c in x) or all(c < 0 for c in x)):
+                continue
+            scale = math.lcm(*(c.denominator for c in x))
+            ints = [abs(int(c * scale)) for c in x]
+            common = math.gcd(*ints)
+            ray = [0] * n
+            for i, c in zip(support, ints):
+                ray[i] = c // common
+            rays.append(tuple(ray))
+    return sorted(rays)

@@ -1,10 +1,16 @@
 """Minimal multi-synchronisations and the weak pullback."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import linkalg
+from linkalg import sync_m
 from linkalg.multiset import MRel, Multiset, compose_m, lift_m, random_mrel, unit, zero
 from linkalg.sync_m import (
     SyncM,
@@ -15,7 +21,7 @@ from linkalg.sync_m import (
     weak_pullback,
 )
 
-from oracles import box_min_msyncs, naive_min_msync_vectors
+from oracles import box_min_msyncs, naive_extreme_rays, naive_min_msync_vectors
 
 
 def two_to_one():
@@ -98,6 +104,101 @@ def test_matches_naive_completion():
         ports = rng.randint(0, 3)
         f, g = (leg(rng.randint(0, 3), ports, 2, 0.25) for _side in "fg")
         assert min_msync_vectors(f, g) == naive_min_msync_vectors(f, g)
+
+
+def mrel(*rows):
+    ports = len(rows[0]) if rows else 0
+    return MRel(len(rows), ports, tuple(Multiset(r) for r in rows))
+
+
+def random_system(rng, ports, links, max_entry, p_zero=0.0, p_repeat=0.0):
+    """Two legs into `ports`; some rows zero, some copies of the last."""
+
+    def leg():
+        rows = []
+        for _ in range(rng.randint(*links)):
+            if rows and rng.random() < p_repeat:
+                rows.append(rows[-1])
+            elif rng.random() < p_zero:
+                rows.append((0,) * ports)
+            else:
+                rows.append(tuple(rng.randint(0, max_entry) for _ in range(ports)))
+        return MRel(len(rows), ports, tuple(Multiset(r) for r in rows))
+
+    return leg(), leg()
+
+
+def test_draw_with_a_long_completion_finishes():
+    """4+4 links over 3 ports whose unbounded completion ran for over
+    600 s and kept growing; with the box it ends with 52 elements."""
+    f = mrel((2, 3, 2), (1, 3, 3), (2, 3, 3), (1, 0, 0))
+    g = mrel((3, 3, 1), (3, 3, 1), (3, 3, 0), (0, 1, 2))
+    got = min_msync_vectors(f, g)
+    assert len(got) == 52
+    for t in got:
+        assert any(t)
+        assert is_msync(f, g, Multiset(t[:4]), Multiset(t[4:]))
+    for a, b in itertools.permutations(got, 2):
+        assert not all(x <= y for x, y in zip(a, b))
+    small = [t for t in got if max(t) <= 3]
+    assert small == [tuple(t) for t in box_min_msyncs(f, g, 3)]
+
+
+def test_box_holds_every_basis_element():
+    """The basis comes from the naive completion, so a box that is too
+    small cannot hide its own fault by pruning.  In the first system
+    (3, 4, 1, 0, 1, 1) is minimal, while every ray has coordinate 1 at
+    most 3: a box of the largest ray entries alone would lose it."""
+    f = mrel((2, 0), (0, 2))
+    g = mrel((2, 3), (2, 0), (1, 2), (3, 3))
+    assert (3, 4, 1, 0, 1, 1) in naive_min_msync_vectors(f, g)
+    assert max(r[1] for r in naive_extreme_rays(f, g)) == 3
+    systems = [(f, g)]
+    rng = random.Random(11)
+    systems += [random_system(rng, rng.randint(0, 3), (0, 3), 3, p_zero=0.2) for _ in range(150)]
+    for f, g in systems:
+        basis = naive_min_msync_vectors(f, g)
+        cols = sync_m._columns(f, g)
+        box = sync_m._box(cols, len(cols))
+        if box is None:
+            assert basis == []
+            continue
+        for t in basis:
+            assert all(x <= b for x, b in zip(t, box)), (t, box)
+        assert min_msync_vectors(f, g) == basis
+
+
+def test_rays_match_support_oracle():
+    rng = random.Random(5)
+    systems = [random_system(rng, rng.randint(0, 3), (0, 4), 3, p_zero=0.2, p_repeat=0.2) for _ in range(200)]
+    systems += [(mrel(), mrel()), (mrel((0, 0)), mrel((0, 0), (1, 0)))]
+    for f, g in systems:
+        cols = sync_m._columns(f, g)
+        assert sorted(sync_m._rays(cols, len(cols))) == naive_extreme_rays(f, g)
+
+
+def test_import_leaves_out_fractions():
+    """fractions pulls in decimal, a few ms of start-up on every run."""
+    code = "import sys, linkalg; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(linkalg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+small_systems = st.integers(0, 3).flatmap(
+    lambda ports: st.tuples(
+        *(st.lists(st.tuples(*[st.integers(0, 2)] * ports), max_size=3) for _side in "fg")
+    ).map(lambda legs: (ports, legs))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems)
+def test_completion_matches_naive_on_small_systems(system):
+    ports, (frows, grows) = system
+    f, g = (MRel(len(r), ports, tuple(Multiset(x) for x in r)) for r in (frows, grows))
+    assert min_msync_vectors(f, g) == naive_min_msync_vectors(f, g)
 
 
 def test_difference_of_nested_syncs_is_sync(rng):
