@@ -31,7 +31,7 @@ from .span_c import (
     identity_span,
 )
 from .span_c import compose as compose_c, tensor as tensor_c, iso_check as iso_check_c, find_iso
-from .multiset import MRel, Multiset, compose_m as compose_mrel, identity_m, lift_m, unit, zero
+from .multiset import MRel, compose_m as compose_mrel, identity_m, lift_m
 from .sync_m import SyncM, is_msync, min_msyncs, minimal_decomposition, weak_pullback
 from .span_m import SpanM, generators_m, identity_span_m
 from .span_m import compose as compose_m, tensor as tensor_m, iso_check as iso_check_m
@@ -60,7 +60,7 @@ __all__ = [
     "SpanC", "Cospan", "compose_cospans", "cospan_iso", "embed_cospan",
     "generators", "identity_span", "compose_c", "tensor_c",
     "iso_check_c", "find_iso",
-    "MRel", "Multiset", "compose_mrel", "identity_m", "lift_m", "unit", "zero",
+    "MRel", "compose_mrel", "identity_m", "lift_m",
     "SyncM", "is_msync", "min_msyncs", "minimal_decomposition", "weak_pullback",
     "SpanM", "generators_m", "identity_span_m", "compose_m",
     "tensor_m", "iso_check_m",

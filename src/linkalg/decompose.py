@@ -185,14 +185,8 @@ def _synthesize(s):
         la = [list(members(m)) for m in s.lleg.img_masks]
         ra = [list(members(m)) for m in s.rleg.img_masks]
         return _assemble(s.left, s.right, s.carrier.size, la, ra, _gadget_pairs(s))
-    la = [
-        [p for p in range(s.left) for _ in range(s.lleg.rows[x].counts[p])]
-        for x in range(s.carrier)
-    ]
-    ra = [
-        [q for q in range(s.right) for _ in range(s.rleg.rows[x].counts[q])]
-        for x in range(s.carrier)
-    ]
+    la = [[p for p, c in enumerate(row) for _ in range(c)] for row in s.lleg.rows]
+    ra = [[q for q, c in enumerate(row) for _ in range(c)] for row in s.rleg.rows]
     return _assemble(s.left, s.right, s.carrier, la, ra, [])
 
 

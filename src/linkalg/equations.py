@@ -171,9 +171,9 @@ def _tf(b):
 def forget_contention(s):
     """View a contention-model span as a multiset-model span.
 
-    Image subsets become 0/1 count vectors and the contention is
+    Image subsets become 0/1 count tuples and the contention is
     dropped; only meaningful when the resulting pairs stay distinct.
     """
-    lrows = [[(m >> j) & 1 for j in range(s.left)] for m in s.lleg.img_masks]
-    rrows = [[(m >> j) & 1 for j in range(s.right)] for m in s.rleg.img_masks]
+    lrows = [tuple((m >> j) & 1 for j in range(s.left)) for m in s.lleg.img_masks]
+    rrows = [tuple((m >> j) & 1 for j in range(s.right)) for m in s.rleg.img_masks]
     return span_m.span_m(s.left, s.right, lrows, rrows)

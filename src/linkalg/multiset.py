@@ -1,9 +1,14 @@
-"""Finite multisets as count vectors, and multirelations between ordinals.
+"""Multirelations between ordinals, with multisets as count tuples.
 
-A multirelation f: k -> l assigns a multiset over l to every element
-of k, i.e. it is a k-by-l matrix of naturals.  Lifting extends f
-linearly to multisets over k, and composition is matrix product; the
-tests check that against a direct matrix oracle.
+A multiset over n is a tuple of n naturals.  A multirelation f: k -> l
+assigns a multiset over l to every element of k, i.e. it is a k-by-l
+matrix of naturals, stored as its k rows.  Lifting extends f linearly
+to multisets over k, and composition is matrix product; the tests
+check that against a direct matrix oracle.
+
+>>> f = MRel(2, 3, [(1, 0, 2), (0, 1, 1)])
+>>> lift_m(f, (2, 1))
+(2, 1, 5)
 """
 
 from __future__ import annotations
@@ -11,94 +16,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class Multiset:
-    counts: tuple
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in cs):
-            raise ValueError("counts must be naturals")
-        object.__setattr__(self, "counts", cs)
-
-    @property
-    def over(self):
-        return len(self.counts)
-
-    @property
-    def total(self):
-        return sum(self.counts)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.counts)
-
-    def _same_base(self, other):
-        if not isinstance(other, Multiset) or other.over != self.over:
-            raise ValueError("multisets must share a base set")
-
-    def __add__(self, other):
-        self._same_base(other)
-        return Multiset(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __sub__(self, other):
-        """Multiset difference; only defined when other is contained in self."""
-        self._same_base(other)
-        if not self >= other:
-            raise ValueError("difference would go negative")
-        return Multiset(tuple(a - b for a, b in zip(self.counts, other.counts)))
-
-    def __ge__(self, other):
-        self._same_base(other)
-        return all(a >= b for a, b in zip(self.counts, other.counts))
-
-    def __le__(self, other):
-        self._same_base(other)
-        return other >= self
-
-    def scale(self, k):
-        if k < 0:
-            raise ValueError("scalar must be a natural")
-        return Multiset(tuple(k * c for c in self.counts))
-
-    def __rmul__(self, k):
-        return self.scale(k)
-
-    def to_list(self):
-        return list(self.counts)
+def checked_row(r, width):
+    """r as a multiset over width, a tuple of width naturals; ValueError otherwise."""
+    r = tuple(r)
+    if len(r) != width:
+        raise ValueError(f"{len(r)} counts where {width} are needed")
+    for c in r:
+        if type(c) is not int or c < 0:
+            raise ValueError(f"counts must be natural numbers, got {c!r}")
+    return r
 
 
-def zero(n):
-    return Multiset((0,) * n)
+def checked_rows(rows, dom, cod):
+    """rows as a tuple of dom multisets over cod; ValueError otherwise."""
+    rows = tuple(rows)
+    if len(rows) != dom:
+        raise ValueError(f"{len(rows)} rows for domain {dom}")
+    return tuple(checked_row(r, cod) for r in rows)
 
 
-def unit(n, i):
-    if not (0 <= i < n):
-        raise ValueError("unit index out of range")
-    return Multiset(tuple(1 if j == i else 0 for j in range(n)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MRel:
-    """Rows indexed by the domain; row x is the multiset image of x."""
+    """Rows indexed by the domain; row x is the multiset image of x.
+
+    MRel(dom, cod, rows) checks the rows; MRel.derived(dom, cod, rows)
+    takes tuple rows computed from arrows already built, unchecked.
+    """
 
     dom: int
     cod: int
     rows: tuple
 
-    def __post_init__(self):
-        rows = tuple(r if isinstance(r, Multiset) else Multiset(tuple(r)) for r in self.rows)
-        if len(rows) != self.dom:
-            raise ValueError(f"{len(rows)} rows for domain {self.dom}")
-        for r in rows:
-            if r.over != self.cod:
-                raise ValueError(f"row over {r.over} does not match codomain {self.cod}")
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, dom, cod, rows):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "rows", checked_rows(rows, dom, cod))
+
+    @classmethod
+    def derived(cls, dom, cod, rows):
+        f = object.__new__(cls)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "rows", rows)
+        return f
 
     def __call__(self, x):
         return self.rows[x]
 
     def to_matrix(self):
-        return [list(r.counts) for r in self.rows]
+        return [list(r) for r in self.rows]
 
     @classmethod
     def from_matrix(cls, matrix, cod=None):
@@ -106,30 +72,32 @@ class MRel:
             if not matrix:
                 raise ValueError("codomain size needed for an empty matrix")
             cod = len(matrix[0])
-        return cls(len(matrix), cod, tuple(Multiset(tuple(row)) for row in matrix))
+        return cls(len(matrix), cod, matrix)
 
 
 def identity_m(n):
-    return MRel(n, n, tuple(unit(n, i) for i in range(n)))
+    return MRel.derived(n, n, tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
 
 
 def lift_m(f, u):
-    """Linear extension: sum of f's rows with multiplicities from u."""
-    if u.over != f.dom:
+    """Linear extension: sum of f's rows with multiplicities from u.
+
+    u is a tuple of f.dom counts and is not checked further.
+    """
+    if len(u) != f.dom:
         raise ValueError("multiset base must match the domain")
     acc = [0] * f.cod
-    for x, c in enumerate(u.counts):
+    for c, row in zip(u, f.rows):
         if c:
-            row = f.rows[x].counts
-            for j in range(f.cod):
-                acc[j] += c * row[j]
-    return Multiset(tuple(acc))
+            for j, x in enumerate(row):
+                acc[j] += c * x
+    return tuple(acc)
 
 
 def compose_m(f, g):
     if f.cod != g.dom:
         raise ValueError("middle objects differ")
-    return MRel(f.dom, g.cod, tuple(lift_m(g, r) for r in f.rows))
+    return MRel.derived(f.dom, g.cod, tuple(lift_m(g, r) for r in f.rows))
 
 
 def random_mrel(rng, dom=None, cod=None, max_size=3, max_entry=2):
@@ -137,8 +105,6 @@ def random_mrel(rng, dom=None, cod=None, max_size=3, max_entry=2):
         dom = rng.randint(0, max_size)
     if cod is None:
         cod = rng.randint(0, max_size)
-    return MRel(
-        dom,
-        cod,
-        tuple(Multiset(tuple(rng.randint(0, max_entry) for _ in range(cod))) for _ in range(dom)),
+    return MRel.derived(
+        dom, cod, tuple(tuple(rng.randint(0, max_entry) for _ in range(cod)) for _ in range(dom))
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multiset import MRel, Multiset, lift_m
+from .multiset import MRel, checked_rows, identity_m, lift_m
 from .shape import nat_keys, nat_rows
 from .sync_m import min_msyncs
 
@@ -33,15 +33,11 @@ class SpanM:
             raise ValueError("leg codomains must match the boundaries")
 
     def pairs(self):
-        return [(self.lleg.rows[i].counts, self.rleg.rows[i].counts) for i in range(self.carrier)]
+        """The links as (left image, right image) count tuple pairs, in carrier order."""
+        return list(zip(self.lleg.rows, self.rleg.rows))
 
     def check(self):
-        seen = set()
-        for p in self.pairs():
-            if p in seen:
-                return False
-            seen.add(p)
-        return True
+        return len(set(self.pairs())) == self.carrier
 
     def to_dict(self):
         return {
@@ -49,8 +45,8 @@ class SpanM:
             "left": self.left,
             "right": self.right,
             "carrier": self.carrier,
-            "lleg": [list(r.counts) for r in self.lleg.rows],
-            "rleg": [list(r.counts) for r in self.rleg.rows],
+            "lleg": self.lleg.to_matrix(),
+            "rleg": self.rleg.to_matrix(),
         }
 
     @classmethod
@@ -61,71 +57,56 @@ class SpanM:
         span: ...") if the legs are not jointly injective.
         """
         left, right, n = nat_keys(d, "left", "right", "carrier")
-        s = cls(
-            left,
-            right,
-            n,
-            MRel(n, left, tuple(Multiset(tuple(r)) for r in nat_rows(d, "lleg", n, left))),
-            MRel(n, right, tuple(Multiset(tuple(r)) for r in nat_rows(d, "rleg", n, right))),
-        )
-        if not s.check():
+        lrows, rrows = nat_rows(d, "lleg", n, left), nat_rows(d, "rleg", n, right)
+        pairs = list(zip(map(tuple, lrows), map(tuple, rrows)))
+        if len(set(pairs)) < n:
             raise ValueError("invalid span: legs are not jointly injective")
-        return s
+        return _span(left, right, pairs)
+
+
+def _span(left, right, pairs):
+    """The span whose links are the (left, right) count tuple pairs, in
+    the given order; the pairs are not checked."""
+    n = len(pairs)
+    return SpanM(
+        left,
+        right,
+        n,
+        MRel.derived(n, left, tuple(l for l, _ in pairs)),
+        MRel.derived(n, right, tuple(r for _, r in pairs)),
+    )
 
 
 def span_m(left, right, lrows, rrows):
     n = len(lrows)
     if len(rrows) != n:
         raise ValueError("leg row counts differ")
-    s = SpanM(
-        left,
-        right,
-        n,
-        MRel(n, left, tuple(Multiset(tuple(r)) for r in lrows)),
-        MRel(n, right, tuple(Multiset(tuple(r)) for r in rrows)),
-    )
-    if not s.check():
+    pairs = list(zip(checked_rows(lrows, n, left), checked_rows(rrows, n, right)))
+    if len(set(pairs)) < n:
         raise ValueError("legs are not jointly injective")
-    return s
+    return _span(left, right, pairs)
 
 
 def canonical(s):
     """Sort the carrier by image pair; a normal form for iso classes."""
-    ps = sorted(s.pairs())
-    return SpanM(
-        s.left,
-        s.right,
-        s.carrier,
-        MRel(s.carrier, s.left, tuple(Multiset(l) for l, _ in ps)),
-        MRel(s.carrier, s.right, tuple(Multiset(r) for _, r in ps)),
-    )
+    return _span(s.left, s.right, sorted(s.pairs()))
 
 
 def factorise(left, right, pairs):
     """Quotient a family of image pairs to its distinct values, sorted."""
-    distinct = sorted(set(pairs))
-    return SpanM(
-        left,
-        right,
-        len(distinct),
-        MRel(len(distinct), left, tuple(Multiset(l) for l, _ in distinct)),
-        MRel(len(distinct), right, tuple(Multiset(r) for _, r in distinct)),
-    )
+    return _span(left, right, sorted(set(pairs)))
 
 
 def identity_span_m(n):
-    return span_m(n, n, [[1 if j == i else 0 for j in range(n)] for i in range(n)], [[1 if j == i else 0 for j in range(n)] for i in range(n)])
+    rows = identity_m(n).rows
+    return _span(n, n, list(zip(rows, rows)))
 
 
 def compose(s, t):
     """Weak pullback over the shared boundary, then image factorisation."""
     if s.right != t.left:
         raise ValueError(f"boundary mismatch: {s.right} vs {t.left}")
-    syncs = min_msyncs(s.rleg, t.lleg)
-    pairs = [
-        (lift_m(s.lleg, m.u).counts, lift_m(t.rleg, m.v).counts)
-        for m in syncs
-    ]
+    pairs = [(lift_m(s.lleg, m.u), lift_m(t.rleg, m.v)) for m in min_msyncs(s.rleg, t.lleg)]
     return factorise(s.left, t.right, pairs)
 
 
@@ -153,16 +134,9 @@ def find_iso(s, t):
     """A carrier bijection matching image pairs, or None."""
     if not iso_check(s, t):
         return None
-    pairs_t = list(enumerate(t.pairs()))
-    image = []
-    used = set()
-    for ps in s.pairs():
-        for j, pt in pairs_t:
-            if j not in used and pt == ps:
-                image.append(j)
-                used.add(j)
-                break
-    return image
+    # links are distinct, so each has exactly one partner
+    where = {p: j for j, p in enumerate(t.pairs())}
+    return [where[p] for p in s.pairs()]
 
 
 def generators_m():

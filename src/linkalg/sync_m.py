@@ -27,25 +27,26 @@ from dataclasses import dataclass
 from math import gcd
 from operator import add, le, mul
 
-from .multiset import MRel, Multiset, lift_m
+from .multiset import MRel, checked_row, lift_m
 
 
 @dataclass(frozen=True)
 class SyncM:
-    u: Multiset
-    v: Multiset
+    """Count tuples over the domains of the two arrows."""
+
+    u: tuple
+    v: tuple
 
 
 def is_msync(f, g, u, v):
+    """Whether the multisets u over f.dom and v over g.dom have equal lifts."""
     if f.cod != g.cod:
         raise ValueError("arrows must share a codomain")
-    return lift_m(f, u) == lift_m(g, v)
+    return lift_m(f, checked_row(u, f.dom)) == lift_m(g, checked_row(v, g.dom))
 
 
 def _columns(f, g):
-    cols = [tuple(f.rows[a].counts) for a in range(f.dom)]
-    cols += [tuple(-c for c in g.rows[b].counts) for b in range(g.dom)]
-    return cols
+    return list(f.rows) + [tuple(-c for c in r) for r in g.rows]
 
 
 def _rays(cols, n):
@@ -202,10 +203,7 @@ def min_msync_vectors(f, g):
 def min_msyncs(f, g):
     """The minimal synchronisations, in canonical vector order."""
     na = f.dom
-    return [
-        SyncM(Multiset(t[:na]), Multiset(t[na:]))
-        for t in min_msync_vectors(f, g)
-    ]
+    return [SyncM(t[:na], t[na:]) for t in min_msync_vectors(f, g)]
 
 
 def weak_pullback(f, g):
@@ -216,8 +214,8 @@ def weak_pullback(f, g):
     several ways.
     """
     syncs = min_msyncs(f, g)
-    p = MRel(len(syncs), f.dom, tuple(s.u for s in syncs))
-    q = MRel(len(syncs), g.dom, tuple(s.v for s in syncs))
+    p = MRel.derived(len(syncs), f.dom, tuple(s.u for s in syncs))
+    q = MRel.derived(len(syncs), g.dom, tuple(s.v for s in syncs))
     return len(syncs), p, q
 
 
@@ -230,26 +228,17 @@ def minimal_decomposition(f, g, s):
     """
     if not is_msync(f, g, s.u, s.v):
         raise ValueError("not a synchronisation")
-    basis = min_msyncs(f, g)
+    na = f.dom
     out = []
-    ru, rv = s.u, s.v
-    while not (ru.is_zero() and rv.is_zero()):
-        for m in basis:
-            if ru >= m.u and rv >= m.v:
-                k = _max_fit(ru, rv, m)
-                out.append((k, m))
-                ru = ru - m.u.scale(k)
-                rv = rv - m.v.scale(k)
+    rest = tuple(s.u) + tuple(s.v)
+    basis = min_msync_vectors(f, g)
+    while any(rest):
+        for b in basis:
+            if all(map(le, b, rest)):
+                k = min(have // need for have, need in zip(rest, b) if need)
+                out.append((k, SyncM(b[:na], b[na:])))
+                rest = tuple(x - k * y for x, y in zip(rest, b))
                 break
         else:
             raise ValueError("synchronisation not covered by minimal ones")
     return out
-
-
-def _max_fit(ru, rv, m):
-    k = None
-    for have, need in zip(ru.counts + rv.counts, m.u.counts + m.v.counts):
-        if need:
-            fit = have // need
-            k = fit if k is None else min(k, fit)
-    return 1 if k is None else k

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from linkalg.contention import CSet, indep_masks, pc_contends_masks, set_of
 from linkalg.crel import CRel, lift_mask, validate
-from linkalg.multiset import Multiset, lift_m
 
 
 def all_csets(max_size):
@@ -68,6 +67,11 @@ def naive_sync_space(f, g, pairs):
     return CSet(len(pairs), frozenset(cont))
 
 
+def _lift(rows, u, width):
+    """Row sums of a count matrix with multiplicities u, entry by entry."""
+    return tuple(sum(c * row[j] for c, row in zip(u, rows)) for j in range(width))
+
+
 def box_min_msyncs(f, g, bound):
     """Reference enumeration over the box of entry values 0..bound.
 
@@ -77,12 +81,10 @@ def box_min_msyncs(f, g, bound):
     """
     by_lift = {}
     for v in itertools.product(range(bound + 1), repeat=g.dom):
-        mv = Multiset(v)
-        by_lift.setdefault(lift_m(g, mv).counts, []).append(v)
+        by_lift.setdefault(_lift(g.rows, v, g.cod), []).append(v)
     pairs = []
     for u in itertools.product(range(bound + 1), repeat=f.dom):
-        mu = Multiset(u)
-        for v in by_lift.get(lift_m(f, mu).counts, ()):
+        for v in by_lift.get(_lift(f.rows, u, f.cod), ()):
             if any(u) or any(v):
                 pairs.append(u + v)
     pairs.sort(key=sum)
@@ -95,8 +97,8 @@ def box_min_msyncs(f, g, bound):
 
 
 def _msync_columns(f, g):
-    cols = [tuple(f.rows[a].counts) for a in range(f.dom)]
-    cols += [tuple(-c for c in g.rows[b].counts) for b in range(g.dom)]
+    cols = [tuple(f.rows[a]) for a in range(f.dom)]
+    cols += [tuple(-c for c in g.rows[b]) for b in range(g.dom)]
     return cols
 
 

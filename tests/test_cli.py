@@ -76,6 +76,20 @@ def test_eq_witness_is_a_carrier_bijection(capsys, monkeypatch):
     assert (code, out) == (0, "true\n[0]\n")
 
 
+def test_model_m_carrier_order_and_witness_are_pinned(capsys, monkeypatch):
+    """Generators keep their links in the order written; composites are
+    sorted, so split against split ; swap is the transposition."""
+    code, out, _ = run(capsys, monkeypatch, ["eval", "-m", "m", "split"])
+    assert (code, out) == (
+        0,
+        '{"carrier":2,"left":1,"lleg":[[1],[1]],"model":"m","right":2,"rleg":[[1,0],[0,1]]}\n',
+    )
+    code, out, _ = run(capsys, monkeypatch, ["eq", "-m", "m", "--witness", "split", "split ; swap"])
+    assert (code, out) == (0, "true\n[1,0]\n")
+    code, out, _ = run(capsys, monkeypatch, ["eq", "-m", "m", "--witness", "split", "split"])
+    assert (code, out) == (0, "true\n[0,1]\n")
+
+
 def test_eq_boundary_mismatch_is_a_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["eq", "-m", "c", "copy", "merge"])
     assert code == 1 and out == ""

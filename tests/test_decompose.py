@@ -50,7 +50,7 @@ def test_rejects_invalid_spans():
     bad_leg = CRel(discrete(2), discrete(1), (frozenset({0}), frozenset({0})))
     with pytest.raises(ValueError, match="span is not valid"):
         decompose(SpanC(1, 1, discrete(2), bad_leg, bad_leg))
-    leg = MRel(2, 1, [[1], [1]])
+    leg = MRel(2, 1, [(1,), (1,)])
     with pytest.raises(ValueError, match="span is not valid"):
         decompose(SpanM(1, 1, 2, leg, leg))
 
@@ -137,12 +137,12 @@ def test_round_trips_on_contention_exemplars():
 
 
 def test_round_trips_on_multiset_exemplars():
-    _round_trip_m(span_m.span_m(1, 1, [[1]], [[2]]))  # doubled link
-    _round_trip_m(span_m.span_m(1, 1, [[2]], [[1]]))
-    _round_trip_m(span_m.span_m(0, 0, [[]], [[]]))  # closed loop
-    _round_trip_m(span_m.span_m(1, 2, [[1]], [[1, 1]]))
+    _round_trip_m(span_m.span_m(1, 1, [(1,)], [(2,)]))  # doubled link
+    _round_trip_m(span_m.span_m(1, 1, [(2,)], [(1,)]))
+    _round_trip_m(span_m.span_m(0, 0, [()], [()]))  # closed loop
+    _round_trip_m(span_m.span_m(1, 2, [(1,)], [(1, 1)]))
     _round_trip_m(
-        span_m.span_m(2, 2, [[0, 1], [0, 1], [1, 0], [1, 0]], [[0, 1], [1, 0], [0, 1], [1, 0]])
+        span_m.span_m(2, 2, [(0, 1), (0, 1), (1, 0), (1, 0)], [(0, 1), (1, 0), (0, 1), (1, 0)])
     )
 
 

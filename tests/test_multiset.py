@@ -1,80 +1,50 @@
-"""Count-vector multisets and multirelations."""
+"""Multirelations over count-tuple multisets."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from linkalg.multiset import (
-    MRel,
-    Multiset,
-    compose_m,
-    identity_m,
-    lift_m,
-    random_mrel,
-    unit,
-    zero,
-)
+from linkalg.multiset import MRel, compose_m, identity_m, lift_m, random_mrel
 
 
-counts = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4).map(tuple)
+def add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def scale(k, a):
+    return tuple(k * x for x in a)
 
 
 def test_negative_counts_rejected():
-    with pytest.raises(ValueError):
-        Multiset((1, -1))
+    with pytest.raises(ValueError, match="natural"):
+        MRel(1, 2, [(1, -1)])
 
 
-def test_difference_partial():
-    a, b = Multiset((2, 1)), Multiset((1, 1))
-    assert (a - b).counts == (1, 0)
-    with pytest.raises(ValueError, match="negative"):
-        b - a
-
-
-def test_base_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Multiset((1,)) + Multiset((1, 2))
-
-
-@given(counts, counts)
-def test_order_is_pointwise(a, b):
-    if len(a) != len(b):
-        return
-    ma, mb = Multiset(a), Multiset(b)
-    assert (ma >= mb) == all(x >= y for x, y in zip(a, b))
-
-
-@given(counts)
-def test_add_sub_round_trip(a):
-    m = Multiset(a)
-    z = zero(len(a))
-    assert m + z == m
-    assert m - z == m
-    assert (m + m) - m == m
-    assert 2 * m == m + m
-
-
-def test_unit_and_zero():
-    assert unit(3, 1).counts == (0, 1, 0)
-    assert zero(2).counts == (0, 0)
-    with pytest.raises(ValueError):
-        unit(2, 2)
+@pytest.mark.parametrize("entry", [True, False, 1.5, 2.0, "2", -1, None])
+def test_entries_must_be_ints_at_least_zero(entry):
+    """Entries are not coerced: bool, float and str are refused like negatives."""
+    with pytest.raises(ValueError, match="natural"):
+        MRel(1, 1, [[entry]])
+    with pytest.raises(ValueError, match="natural"):
+        MRel.from_matrix([[0, entry]])
 
 
 def test_mrel_shape_validation():
     with pytest.raises(ValueError):
-        MRel(2, 1, (Multiset((0,)),))
+        MRel(2, 1, [(0,)])
     with pytest.raises(ValueError):
-        MRel(1, 2, (Multiset((0,)),))
+        MRel(1, 2, [(0,)])
+    assert MRel(2, 1, [[1], (2,)]).rows == ((1,), (2,))
 
 
 def test_lift_is_linear(rng):
     for _ in range(50):
         f = random_mrel(rng)
-        u = Multiset(tuple(rng.randint(0, 3) for _ in range(f.dom)))
-        v = Multiset(tuple(rng.randint(0, 3) for _ in range(f.dom)))
-        assert lift_m(f, u + v) == lift_m(f, u) + lift_m(f, v)
-        assert lift_m(f, 2 * u) == 2 * lift_m(f, u)
-        assert lift_m(f, zero(f.dom)) == zero(f.cod)
+        u = tuple(rng.randint(0, 3) for _ in range(f.dom))
+        v = tuple(rng.randint(0, 3) for _ in range(f.dom))
+        assert lift_m(f, add(u, v)) == add(lift_m(f, u), lift_m(f, v))
+        assert lift_m(f, scale(2, u)) == scale(2, lift_m(f, u))
+        assert lift_m(f, (0,) * f.dom) == (0,) * f.cod
+    with pytest.raises(ValueError, match="domain"):
+        lift_m(MRel(1, 1, [(1,)]), (1, 1))
 
 
 def test_compose_is_matrix_product(rng):
@@ -104,6 +74,7 @@ def test_category_laws(rng):
 def test_matrix_round_trip():
     m = [[1, 0, 2], [0, 3, 0]]
     assert MRel.from_matrix(m).to_matrix() == m
+    assert MRel.from_matrix(m) == MRel(2, 3, ((1, 0, 2), (0, 3, 0)))
     assert MRel.from_matrix([], cod=3).dom == 0
     with pytest.raises(ValueError):
         MRel.from_matrix([])

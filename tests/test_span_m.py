@@ -2,12 +2,13 @@
 
 import pytest
 
-from linkalg.multiset import MRel, Multiset
+from linkalg.multiset import MRel
 from linkalg.span_m import (
     SpanM,
     canonical,
     compose,
     factorise,
+    find_iso,
     generators_m,
     identity_span_m,
     iso_check,
@@ -38,6 +39,15 @@ def test_split_and_copy_still_differ_here():
 def test_joint_injectivity_enforced():
     with pytest.raises(ValueError, match="jointly injective"):
         span_m(1, 1, [[1], [1]], [[0], [0]])
+
+
+@pytest.mark.parametrize("entry", [True, 1.5, "2", -1])
+def test_span_entries_must_be_ints_at_least_zero(entry):
+    """Entries are not coerced: [[1.5]] is refused, not read as [[1]]."""
+    with pytest.raises(ValueError, match="natural"):
+        span_m(1, 1, [(entry,)], [(1,)])
+    with pytest.raises(ValueError, match="natural"):
+        span_m(1, 1, [(1,)], [(entry,)])
 
 
 def test_split_then_join_is_identity():
@@ -94,11 +104,7 @@ def test_composition_associative(rng):
 
 
 def _reshape(leg, new_cod):
-    rows = []
-    for r in leg.rows:
-        cs = (r.counts + (0,) * new_cod)[:new_cod]
-        rows.append(Multiset(cs))
-    return MRel(leg.dom, new_cod, tuple(rows))
+    return MRel(leg.dom, new_cod, tuple((r + (0,) * new_cod)[:new_cod] for r in leg.rows))
 
 
 def test_tensor_blocks_and_zero_collision():
@@ -107,7 +113,7 @@ def test_tensor_blocks_and_zero_collision():
     t = tensor(a, b)
     assert t.carrier == 2
     # a closed loop on each side collapses to one loop after the tensor
-    loop = SpanM(0, 0, 1, MRel(1, 0, (Multiset(()),)), MRel(1, 0, (Multiset(()),)))
+    loop = SpanM(0, 0, 1, MRel(1, 0, ((),)), MRel(1, 0, ((),)))
     tt = tensor(loop, loop)
     assert tt.carrier == 1
     assert tt.check()
@@ -127,14 +133,10 @@ def test_iso_is_pair_set_equality(rng):
         assert iso_check(s, perm)
         if s.carrier:
             # damaging one weight breaks the isomorphism
-            rows = [list(r.counts) for r in s.lleg.rows]
+            rows = list(s.lleg.rows)
             if s.left:
-                rows[0][0] += 1
-                t = SpanM(
-                    s.left, s.right, s.carrier,
-                    MRel(s.carrier, s.left, tuple(Multiset(tuple(r)) for r in rows)),
-                    s.rleg,
-                )
+                rows[0] = (rows[0][0] + 1,) + rows[0][1:]
+                t = SpanM(s.left, s.right, s.carrier, MRel(s.carrier, s.left, rows), s.rleg)
                 if t.check():
                     assert not iso_check(s, t)
 
@@ -148,3 +150,24 @@ def test_serialisation_round_trip(rng):
     for _ in range(25):
         s = random_span_m(rng)
         assert SpanM.from_dict(s.to_dict()) == s
+
+
+def test_carrier_order_is_kept():
+    """Links stay in the order given; only compose, tensor and canonical sort."""
+    d = {"model": "m", "left": 1, "right": 2, "carrier": 3,
+         "lleg": [[2], [0], [1]], "rleg": [[0, 1], [1, 1], [1, 0]]}
+    s = SpanM.from_dict(d)
+    assert s.pairs() == [((2,), (0, 1)), ((0,), (1, 1)), ((1,), (1, 0))]
+    assert s.to_dict() == d
+    assert span_m(1, 2, d["lleg"], d["rleg"]) == s
+    assert GENS["split"].to_dict()["rleg"] == [[1, 0], [0, 1]]
+
+
+def test_find_iso_returns_the_carrier_permutation():
+    s = span_m(1, 2, [(2,), (0,), (1,)], [(0, 1), (1, 1), (1, 0)])
+    t = span_m(1, 2, [(1,), (2,), (0,)], [(1, 0), (0, 1), (1, 1)])
+    assert find_iso(s, t) == [1, 2, 0]
+    assert find_iso(t, s) == [2, 0, 1]
+    assert find_iso(s, s) == [0, 1, 2]
+    assert find_iso(s, canonical(s)) == [2, 0, 1]
+    assert find_iso(s, GENS["split"]) is None

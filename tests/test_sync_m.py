@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import linkalg
 from linkalg import sync_m
-from linkalg.multiset import MRel, Multiset, compose_m, lift_m, random_mrel, unit, zero
+from linkalg.multiset import MRel, compose_m, random_mrel
 from linkalg.sync_m import (
     SyncM,
     is_msync,
@@ -26,6 +26,14 @@ from oracles import box_min_msyncs, naive_extreme_rays, naive_min_msync_vectors
 
 def two_to_one():
     return MRel.from_matrix([[1], [1]])
+
+
+def add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def scale(k, a):
+    return tuple(k * x for x in a)
 
 
 def test_four_unit_pairs_on_shared_target():
@@ -44,14 +52,14 @@ def test_cone_with_two_decompositions():
     decomposes in two distinct ways over the four minimal pairs."""
     t = two_to_one()
     syncs = min_msyncs(t, t)
-    u0 = Multiset((1, 1))
+    u0 = (1, 1)
     assert is_msync(t, t, u0, u0)
     solutions = []
     for ks in itertools.product(range(2), repeat=len(syncs)):
-        acc_u, acc_v = zero(2), zero(2)
+        acc_u, acc_v = (0, 0), (0, 0)
         for k, s in zip(ks, syncs):
-            acc_u = acc_u + s.u.scale(k)
-            acc_v = acc_v + s.v.scale(k)
+            acc_u = add(acc_u, scale(k, s.u))
+            acc_v = add(acc_v, scale(k, s.v))
         if acc_u == u0 and acc_v == u0:
             solutions.append(ks)
     assert len(solutions) >= 2
@@ -68,8 +76,7 @@ def test_solutions_are_syncs_and_minimal(rng):
         vecs = min_msync_vectors(f, g)
         na = f.dom
         for t in vecs:
-            u, v = Multiset(t[:na]), Multiset(t[na:])
-            assert is_msync(f, g, u, v)
+            assert is_msync(f, g, t[:na], t[na:])
             assert any(t)
         for a, b in itertools.combinations(vecs, 2):
             assert not all(x <= y for x, y in zip(a, b))
@@ -95,7 +102,7 @@ def test_matches_naive_completion():
 
     def leg(links, ports, max_entry, p_zero):
         rows = [[rng.randint(0, max_entry) for _ in range(ports)] for _ in range(links)]
-        return MRel(links, ports, tuple(Multiset((0,) * ports if rng.random() < p_zero else r) for r in rows))
+        return MRel(links, ports, tuple((0,) * ports if rng.random() < p_zero else r for r in rows))
 
     for _ in range(20):
         f, g = (leg(rng.randint(3, 4), 3, 2, 0.0) for _side in "fg")
@@ -108,7 +115,7 @@ def test_matches_naive_completion():
 
 def mrel(*rows):
     ports = len(rows[0]) if rows else 0
-    return MRel(len(rows), ports, tuple(Multiset(r) for r in rows))
+    return MRel(len(rows), ports, rows)
 
 
 def random_system(rng, ports, links, max_entry, p_zero=0.0, p_repeat=0.0):
@@ -123,7 +130,7 @@ def random_system(rng, ports, links, max_entry, p_zero=0.0, p_repeat=0.0):
                 rows.append((0,) * ports)
             else:
                 rows.append(tuple(rng.randint(0, max_entry) for _ in range(ports)))
-        return MRel(len(rows), ports, tuple(Multiset(r) for r in rows))
+        return MRel(len(rows), ports, rows)
 
     return leg(), leg()
 
@@ -137,7 +144,7 @@ def test_draw_with_a_long_completion_finishes():
     assert len(got) == 52
     for t in got:
         assert any(t)
-        assert is_msync(f, g, Multiset(t[:4]), Multiset(t[4:]))
+        assert is_msync(f, g, t[:4], t[4:])
     for a, b in itertools.permutations(got, 2):
         assert not all(x <= y for x, y in zip(a, b))
     small = [t for t in got if max(t) <= 3]
@@ -197,7 +204,7 @@ small_systems = st.integers(0, 3).flatmap(
 @given(small_systems)
 def test_completion_matches_naive_on_small_systems(system):
     ports, (frows, grows) = system
-    f, g = (MRel(len(r), ports, tuple(Multiset(x) for x in r)) for r in (frows, grows))
+    f, g = (MRel(len(r), ports, r) for r in (frows, grows))
     assert min_msync_vectors(f, g) == naive_min_msync_vectors(f, g)
 
 
@@ -205,16 +212,16 @@ def test_difference_of_nested_syncs_is_sync(rng):
     for _ in range(60):
         f = random_mrel(rng)
         g = random_mrel(rng, cod=f.cod)
-        u1 = Multiset(tuple(rng.randint(0, 2) for _ in range(f.dom)))
-        v1 = Multiset(tuple(rng.randint(0, 2) for _ in range(g.dom)))
-        u2 = Multiset(tuple(rng.randint(0, 2) for _ in range(f.dom)))
-        v2 = Multiset(tuple(rng.randint(0, 2) for _ in range(g.dom)))
+        u1 = tuple(rng.randint(0, 2) for _ in range(f.dom))
+        v1 = tuple(rng.randint(0, 2) for _ in range(g.dom))
+        u2 = tuple(rng.randint(0, 2) for _ in range(f.dom))
+        v2 = tuple(rng.randint(0, 2) for _ in range(g.dom))
         if not (is_msync(f, g, u1, v1) and is_msync(f, g, u2, v2)):
             continue
-        if u1 >= u2 and v1 >= v2:
-            assert is_msync(f, g, u1 - u2, v1 - v2)
+        if all(a >= b for a, b in zip(u1 + v1, u2 + v2)):
+            assert is_msync(f, g, add(u1, scale(-1, u2)), add(v1, scale(-1, v2)))
         # linear combinations stay synchronisations
-        assert is_msync(f, g, u1 + 3 * u2, v1 + 3 * v2)
+        assert is_msync(f, g, add(u1, scale(3, u2)), add(v1, scale(3, v2)))
 
 
 def test_weak_pullback_commutes(rng):
@@ -231,36 +238,41 @@ def test_minimal_decomposition_reassembles(rng):
         g = random_mrel(rng, cod=f.cod)
         ks = [rng.randint(0, 2) for _ in min_msyncs(f, g)]
         basis = min_msyncs(f, g)
-        u = zero(f.dom)
-        v = zero(g.dom)
+        u = (0,) * f.dom
+        v = (0,) * g.dom
         for k, s in zip(ks, basis):
-            u = u + s.u.scale(k)
-            v = v + s.v.scale(k)
+            u = add(u, scale(k, s.u))
+            v = add(v, scale(k, s.v))
         parts = minimal_decomposition(f, g, SyncM(u, v))
-        ru, rv = zero(f.dom), zero(g.dom)
+        ru, rv = (0,) * f.dom, (0,) * g.dom
         seen = set()
         for k, s in parts:
             assert k >= 1
             assert s in basis
             assert s not in seen  # parts are distinct
             seen.add(s)
-            ru = ru + s.u.scale(k)
-            rv = rv + s.v.scale(k)
+            ru = add(ru, scale(k, s.u))
+            rv = add(rv, scale(k, s.v))
         assert (ru, rv) == (u, v)
 
 
 def test_minimal_decomposition_worked_example():
     t = two_to_one()
-    parts = minimal_decomposition(t, t, SyncM(Multiset((1, 1)), Multiset((1, 1))))
-    total_u = zero(2)
-    total_v = zero(2)
+    parts = minimal_decomposition(t, t, SyncM((1, 1), (1, 1)))
+    total_u = total_v = (0, 0)
     for k, s in parts:
-        total_u = total_u + s.u.scale(k)
-        total_v = total_v + s.v.scale(k)
-    assert total_u == Multiset((1, 1)) and total_v == Multiset((1, 1))
+        total_u = add(total_u, scale(k, s.u))
+        total_v = add(total_v, scale(k, s.v))
+    assert total_u == (1, 1) and total_v == (1, 1)
 
 
 def test_minimal_decomposition_rejects_non_sync():
     t = two_to_one()
     with pytest.raises(ValueError, match="not a synchronisation"):
-        minimal_decomposition(t, t, SyncM(Multiset((1, 0)), Multiset((0, 0))))
+        minimal_decomposition(t, t, SyncM((1, 0), (0, 0)))
+    # a synchronisation is a pair of multisets: only ints >= 0 count
+    for bad in ((-1, -1), (0.5, 0.5), (True, True)):
+        with pytest.raises(ValueError, match="natural"):
+            is_msync(t, t, bad, bad)
+        with pytest.raises(ValueError, match="natural"):
+            minimal_decomposition(t, t, SyncM(bad, bad))
