@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .shape import nat, nat_rows, need
+
 
 @dataclass(frozen=True, init=False)
 class CSet:
@@ -59,8 +61,10 @@ class CSet:
         return {"size": self.size, "contention": [list(p) for p in self.pairs()]}
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(d["size"], d["contention"])
+    def from_dict(cls, d, name="carrier"):
+        """Load; SpanFormatError, naming the c-set by name, if of the wrong shape."""
+        size = nat(need(d, "size"), f"{name} size")
+        return cls(size, nat_rows(d, "contention", None, 2, size))
 
 
 def discrete(n):

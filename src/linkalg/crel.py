@@ -23,6 +23,7 @@ from .contention import (
     pc_contends_masks,
     set_of,
 )
+from .shape import nat_rows, need
 
 
 class CheckResult(NamedTuple):
@@ -72,7 +73,10 @@ class CRel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(CSet.from_dict(d["dom"]), CSet.from_dict(d["cod"]), d["map"])
+        """Load; SpanFormatError if the JSON has the wrong shape."""
+        dom = CSet.from_dict(need(d, "dom"), "dom")
+        cod = CSet.from_dict(need(d, "cod"), "cod")
+        return cls(dom, cod, nat_rows(d, "map", dom.size, None, cod.size))
 
 
 def validate(r):

@@ -33,63 +33,45 @@ def _seq_all(stages):
     return out
 
 
-def _split_tree(n):
-    """1 -> n through split; the leaves are pairwise in contention."""
-    if n == 0:
-        return Atom("stop")
-    if n == 1:
-        return Atom("id")
-    if n == 2:
-        return Atom("split")
-    return Seq(Atom("split"), Ten(_split_tree(n - 1), Atom("id")))
+def _fan_out(n, two, zero):
+    """1 -> n through the binary atom two (split or copy), or zero when n is 0."""
+    if n < 2:
+        return Atom("id" if n else zero)
+    t = Atom(two)
+    for _ in range(n - 2):
+        t = Seq(Atom(two), Ten(t, Atom("id")))
+    return t
 
 
-def _copy_tree(n):
-    """1 -> n through copy; the leaves stay mutually independent."""
-    if n == 0:
-        return Atom("del")
-    if n == 1:
-        return Atom("id")
-    if n == 2:
-        return Atom("copy")
-    return Seq(Atom("copy"), Ten(_copy_tree(n - 1), Atom("id")))
-
-
-def _merge_tree(n):
-    if n == 0:
-        return Atom("new")
-    if n == 1:
-        return Atom("id")
-    if n == 2:
-        return Atom("merge")
-    return Seq(Ten(_merge_tree(n - 1), Atom("id")), Atom("merge"))
-
-
-def _join_tree(n):
-    if n == 0:
-        return Atom("start")
-    if n == 1:
-        return Atom("id")
-    if n == 2:
-        return Atom("join")
-    return Seq(Ten(_join_tree(n - 1), Atom("id")), Atom("join"))
+def _fan_in(n, two, zero):
+    """n -> 1 through the binary atom two (join or merge), or zero when n is 0."""
+    if n < 2:
+        return Atom("id" if n else zero)
+    t = Atom(two)
+    for _ in range(n - 2):
+        t = Seq(Ten(t, Atom("id")), Atom(two))
+    return t
 
 
 def _core(a, b):
     """a -> b through a single middle element: merge everything, then copy."""
     if a == 1:
-        return _copy_tree(b)
+        return _fan_out(b, "copy", "del")
     if b == 1:
-        return _merge_tree(a)
-    return Seq(_merge_tree(a), _copy_tree(b))
+        return _fan_in(a, "merge", "new")
+    return Seq(_fan_in(a, "merge", "new"), _fan_out(b, "copy", "del"))
 
 
 def _all_id(term):
-    if isinstance(term, Atom):
-        return term.name == "id"
-    if isinstance(term, Ten):
-        return _all_id(term.fst) and _all_id(term.snd)
-    return False
+    """Is term a tensor of identities?  An explicit stack: no recursion limit."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Ten):
+            stack += (t.fst, t.snd)
+        elif not (isinstance(t, Atom) and t.name == "id"):
+            return False
+    return True
 
 
 def _route(perm):
@@ -138,7 +120,7 @@ def _assemble(k, l, n, la, ra, gads):
     fan_parts = []
     for p in range(k):
         hits = [(x, i) for x in range(n) for i in range(la[x].count(p))]
-        fan_parts.append(_split_tree(len(hits)))
+        fan_parts.append(_fan_out(len(hits), "split", "stop"))
         lwires.extend(("L", p, x, i) for x, i in hits)
     for gi, (a, b) in enumerate(gads):
         fan_parts.append(Seq(Atom("new"), Atom("split")))
@@ -166,7 +148,7 @@ def _assemble(k, l, n, la, ra, gads):
     fanin_parts = []
     for q in range(l):
         hits = [(x, i) for x in range(n) for i in range(ra[x].count(q))]
-        fanin_parts.append(_join_tree(len(hits)))
+        fanin_parts.append(_fan_in(len(hits), "join", "start"))
         rtarget.extend(("R", q, x, i) for x, i in hits)
     fanin = _tensor_all(fanin_parts)
     rpos = {w: j for j, w in enumerate(rtarget)}

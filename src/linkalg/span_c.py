@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .contention import CSet, coproduct, discrete, members
 from .crel import CRel, compose as crel_compose, identity as crel_identity, op_graph, validate
-from .shape import nat, nat_keys, nat_rows, nats, need
+from .shape import nat_keys, nat_rows, nats, need
 from .sync_c import pullback
 
 
@@ -60,15 +60,13 @@ class SpanC:
         span: ...") if the legs break the arrow condition.
         """
         left, right = nat_keys(d, "left", "right")
-        carrier = need(d, "carrier")
-        size = nat(need(carrier, "size"), "carrier size")
-        pairs = nat_rows(carrier, "contention", None, 2, size)
+        carrier = CSet.from_dict(need(d, "carrier"))
         return span_c(
             left,
             right,
-            CSet(size, pairs),
-            nat_rows(d, "lleg", size, None, left),
-            nat_rows(d, "rleg", size, None, right),
+            carrier,
+            nat_rows(d, "lleg", carrier.size, None, left),
+            nat_rows(d, "rleg", carrier.size, None, right),
         )
 
 

@@ -131,11 +131,13 @@ def iso_check(s, t):
 
 
 def find_iso(s, t):
-    """A carrier bijection matching image pairs, or None."""
+    """A carrier bijection matching image pairs, or None; ValueError if the
+    legs are not jointly injective, where a lookup cannot give a bijection."""
     if not iso_check(s, t):
         return None
-    # links are distinct, so each has exactly one partner
     where = {p: j for j, p in enumerate(t.pairs())}
+    if len(where) < t.carrier:
+        raise ValueError("legs are not jointly injective")
     return [where[p] for p in s.pairs()]
 
 

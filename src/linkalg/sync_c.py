@@ -36,11 +36,22 @@ def min_sync_masks(f, g):
     A minimal synchronisation is connected: it cannot split into two
     synchronisations with disjoint parts, because a component of the
     shared-port graph is itself one.  So candidates are grown from
-    single elements, at each step covering the lowest port on which the
-    two lifts still disagree, and stopping at the first agreement.
-    Every minimal synchronisation arises this way; non-minimal
-    candidates are filtered at the end.  Tests compare against a plain
-    increasing-size enumeration over all independent pairs.
+    single elements, at each step covering the lowest port p on which
+    the two lifts still disagree, and stopping at the first agreement.
+    Every minimal synchronisation arises this way.
+
+    f and g must be valid (crel.validate), or pairs that are not minimal
+    may appear.  On valid arrows every candidate C is minimal too, and
+    none is filtered.  Independent elements of a valid arrow have
+    disjoint images, as overlapping images contend reflexively; so were
+    C above a smaller nonzero synchronisation, the rest of C would be
+    one too: C would split into S, holding the seed, and R, with
+    disjoint lifts on either side.  Inductively the candidate so far
+    lies in S, so p is in the lift of S on the other side, and the
+    element added to cover p is not in R, whose lifts agree.  So C lies
+    in S, a contradiction.  That element is never in its own part
+    already, as p is missing from the part's lift.  Tests compare
+    against a plain increasing-size enumeration.
     """
     if f.cod != g.cod:
         raise ValueError("arrows must share a codomain")
@@ -64,7 +75,7 @@ def min_sync_masks(f, g):
             p = (diff & -diff).bit_length() - 1
             if (lu >> p) & 1:
                 for b in covers_b[p]:
-                    if (mv >> b) & 1 or ga[b] & mv:
+                    if ga[b] & mv:
                         continue
                     st = (mu, mv | (1 << b))
                     if st not in seen:
@@ -72,24 +83,15 @@ def min_sync_masks(f, g):
                         nxt.append(st)
             else:
                 for a in covers_a[p]:
-                    if (mu >> a) & 1 or fa[a] & mu:
+                    if fa[a] & mu:
                         continue
                     st = (mu | (1 << a), mv)
                     if st not in seen:
                         seen.add(st)
                         nxt.append(st)
         frontier = nxt
-    out = []
-    for mu, mv in candidates:
-        dominated = False
-        for au, av in candidates:
-            if (au, av) != (mu, mv) and au & ~mu == 0 and av & ~mv == 0:
-                dominated = True
-                break
-        if not dominated:
-            out.append((mu, mv))
     # canonical order: by the sorted members of U, then of V
-    return sorted(out, key=lambda p: (tuple(members(p[0])), tuple(members(p[1]))))
+    return sorted(candidates, key=lambda p: (tuple(members(p[0])), tuple(members(p[1]))))
 
 
 def min_syncs(f, g):
@@ -128,8 +130,9 @@ def sync_space(f, g, pairs):
 def pullback(f, g):
     """The span (M, p, q) of minimal synchronisations over f, g.
 
-    p and q project a synchronisation to its two parts; both are valid
-    arrows because contention on M is inherited from the parts.
+    f and g must be valid arrows, as min_sync_masks requires.  p and q
+    project a synchronisation to its two parts; both are valid arrows
+    because contention on M is inherited from the parts.
     """
     pairs = min_sync_masks(f, g)
     space = sync_space(f, g, pairs)

@@ -18,6 +18,7 @@ from linkalg.contention import (
     powerset_contention,
     set_of,
 )
+from linkalg.shape import SpanFormatError
 
 from oracles import all_csets
 
@@ -140,6 +141,19 @@ def test_serialisation_round_trip():
     x = CSet(4, frozenset({(3, 1), (0, 2)}))
     assert CSet.from_dict(x.to_dict()) == x
     assert x.to_dict()["contention"] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"size": True, "contention": []}, "carrier size must be a natural number, got true"),
+        ({"size": 2, "contention": [[0, 1.5]]}, "contention[0][1] must be a natural number, got 1.5"),
+    ],
+)
+def test_from_dict_refuses_booleans_and_floats(d, message):
+    with pytest.raises(SpanFormatError) as e:
+        CSet.from_dict(d)
+    assert str(e.value) == message
 
 
 def test_mask_set_round_trip():

@@ -15,6 +15,7 @@ from linkalg.crel import (
     random_crel,
     validate,
 )
+from linkalg.shape import SpanFormatError
 
 from oracles import all_crels, all_csets
 
@@ -140,3 +141,16 @@ def test_serialisation_round_trip(rng):
     for _ in range(20):
         f = random_crel(rng)
         assert CRel.from_dict(f.to_dict()) == f
+
+
+def test_from_dict_refuses_booleans_and_floats():
+    good = crel(discrete(1), discrete(1), [[0]]).to_dict()
+    for bad, message in (
+        ({**good, "dom": {"size": True, "contention": []}}, "dom size must be a natural number, got true"),
+        ({**good, "cod": {"size": 1.0, "contention": []}}, "cod size must be a natural number, got 1.0"),
+        ({**good, "map": [[0.5]]}, "map[0][0] must be a natural number, got 0.5"),
+        ({**good, "map": [[True]]}, "map[0][0] must be a natural number, got true"),
+    ):
+        with pytest.raises(SpanFormatError) as e:
+            CRel.from_dict(bad)
+        assert str(e.value) == message

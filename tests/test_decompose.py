@@ -10,14 +10,12 @@ from linkalg.contention import CSet, discrete, full
 from linkalg.crel import CRel
 from linkalg.decompose import (
     _all_id,
-    _copy_tree,
     _core,
+    _fan_in,
+    _fan_out,
     _gadget_pairs,
     _identity_term,
-    _join_tree,
-    _merge_tree,
     _route,
-    _split_tree,
     decompose,
 )
 from linkalg.multiset import MRel
@@ -56,29 +54,29 @@ def test_rejects_invalid_spans():
 
 
 def test_fan_trees_have_the_right_shapes():
-    assert _split_tree(0) == Atom("stop")
-    assert _split_tree(1) == Atom("id")
-    assert _split_tree(2) == Atom("split")
-    assert _merge_tree(0) == Atom("new")
-    assert _copy_tree(0) == Atom("del")
-    assert _join_tree(0) == Atom("start")
+    assert _fan_out(0, "split", "stop") == Atom("stop")
+    assert _fan_out(1, "split", "stop") == Atom("id")
+    assert _fan_out(2, "split", "stop") == Atom("split")
+    assert _fan_in(0, "merge", "new") == Atom("new")
+    assert _fan_out(0, "copy", "del") == Atom("del")
+    assert _fan_in(0, "join", "start") == Atom("start")
     for n in range(5):
-        assert (_split_tree(n).dom, _split_tree(n).cod) == (1, n)
-        assert (_merge_tree(n).dom, _merge_tree(n).cod) == (n, 1)
+        assert (_fan_out(n, "split", "stop").dom, _fan_out(n, "split", "stop").cod) == (1, n)
+        assert (_fan_in(n, "merge", "new").dom, _fan_in(n, "merge", "new").cod) == (n, 1)
 
 
 def test_fan_tree_values():
     # a 1-to-3 nondeterministic fan: three mutually contending links
-    fan = eval_c(_split_tree(3))
+    fan = eval_c(_fan_out(3, "split", "stop"))
     assert span_c.iso_check(fan, span_c.span_c(1, 3, full(3), [[0]] * 3, [[0], [1], [2]]))
     # a 1-to-3 broadcast: one link touching every port
-    bc = eval_c(_copy_tree(3))
+    bc = eval_c(_fan_out(3, "copy", "del"))
     assert span_c.iso_check(bc, span_c.span_c(1, 3, discrete(1), [[0]], [[0, 1, 2]]))
 
 
 def test_core_blocks():
-    assert _core(1, 3) == _copy_tree(3)
-    assert _core(2, 1) == _merge_tree(2)
+    assert _core(1, 3) == _fan_out(3, "copy", "del")
+    assert _core(2, 1) == _fan_in(2, "merge", "new")
     v = eval_c(_core(2, 3))
     assert span_c.iso_check(v, span_c.span_c(2, 3, discrete(1), [[0, 1]], [[0, 1, 2]]))
     loop = eval_c(_core(0, 0))
@@ -122,6 +120,11 @@ def test_all_id_predicate():
     assert _all_id(Ten(Ten(Atom("id"), Atom("id")), Atom("id")))
     assert not _all_id(Atom("swap"))
     assert not _all_id(Seq(Atom("id"), Atom("id")))
+
+
+def test_wide_identity_decomposes_without_recursion():
+    wide = " * ".join(["id"] * 1200)
+    assert pretty(decompose(eval_c(parse(wide)))) == wide
 
 
 def test_round_trips_on_contention_exemplars():

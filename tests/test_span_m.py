@@ -171,3 +171,11 @@ def test_find_iso_returns_the_carrier_permutation():
     assert find_iso(s, s) == [0, 1, 2]
     assert find_iso(s, canonical(s)) == [2, 0, 1]
     assert find_iso(s, GENS["split"]) is None
+
+
+def test_find_iso_refuses_legs_that_are_not_jointly_injective():
+    # two equal links: a lookup by image pair cannot give a bijection
+    leg = MRel(2, 1, [(1,), (1,)])
+    s = SpanM(1, 1, 2, leg, leg)
+    with pytest.raises(ValueError, match="jointly injective"):
+        find_iso(s, s)

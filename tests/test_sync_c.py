@@ -6,6 +6,7 @@ import pytest
 
 from linkalg.contention import CSet, discrete, full, indep_masks, set_of
 from linkalg.crel import CRel, compose, crel, identity, lift_mask, random_crel, random_cset, validate
+from linkalg import span_c
 from linkalg.span_c import compose as compose_spans, generators
 from linkalg.sync_c import (
     is_sync,
@@ -15,6 +16,7 @@ from linkalg.sync_c import (
     pullback,
     sync_space,
 )
+from linkalg.terms import eval_c, parse
 
 from oracles import all_crels, all_csets, naive_min_sync_masks, naive_sync_space
 
@@ -84,6 +86,33 @@ def test_matches_naive_enumeration_random(rng):
         f = random_crel(rng, cod=cod)
         g = random_crel(rng, cod=cod)
         assert min_sync_masks(f, g) == naive_min_sync_masks(f, g)
+
+
+def test_candidates_need_no_dominance_filter(rng, monkeypatch):
+    """The search returns only minimal pairs, with no filter after it:
+    wider domains than the tests above, and every pullback step of the
+    dense model-c terms."""
+    for _ in range(60):
+        cod = random_cset(rng, max_size=4)
+        f = random_crel(rng, cod=cod, max_size=7)
+        g = random_crel(rng, cod=cod, max_size=7)
+        assert min_sync_masks(f, g) == naive_min_sync_masks(f, g)
+    steps = []
+
+    def recording_pullback(f, g):
+        steps.append((f, g))
+        return pullback(f, g)
+
+    monkeypatch.setattr(span_c, "pullback", recording_pullback)
+    terms = [" ; ".join(["join ; split"] * k) for k in range(1, 7)]
+    terms.append("(split * split) ; (id * swap * id) ; (join * join)")
+    for text in terms:
+        eval_c(parse(text))
+    assert len(steps) == sum(2 * k - 1 for k in range(1, 7)) + 2
+    for f, g in steps:
+        pairs = min_sync_masks(f, g)
+        for (a1, b1), (a2, b2) in itertools.permutations(pairs, 2):
+            assert not (a1 & ~a2 == 0 and b1 & ~b2 == 0)
 
 
 def test_minimal_syncs_inside_a_sync_are_disjoint(rng):
