@@ -33,7 +33,7 @@ from .span_c import (
 from .span_c import compose as compose_c, tensor as tensor_c, iso_check as iso_check_c, find_iso
 from .multiset import MRel, compose_m as compose_mrel, identity_m, lift_m
 from .sync_m import SyncM, is_msync, min_msyncs, minimal_decomposition, weak_pullback
-from .span_m import SpanM, generators_m, identity_span_m
+from .span_m import SpanM, forget_contention, generators_m, identity_span_m
 from .span_m import compose as compose_m, tensor as tensor_m, iso_check as iso_check_m
 from .terms import (
     Atom,
@@ -46,7 +46,7 @@ from .terms import (
     parse,
     pretty,
 )
-from .equations import Law, LawResult, format_results, forget_contention, laws, run_suite
+from .equations import Law, LawResult, format_results, laws, run_suite
 from .decompose import decompose
 
 __version__ = "0.1.0"
@@ -62,11 +62,11 @@ __all__ = [
     "iso_check_c", "find_iso",
     "MRel", "compose_mrel", "identity_m", "lift_m",
     "SyncM", "is_msync", "min_msyncs", "minimal_decomposition", "weak_pullback",
-    "SpanM", "generators_m", "identity_span_m", "compose_m",
+    "SpanM", "forget_contention", "generators_m", "identity_span_m", "compose_m",
     "tensor_m", "iso_check_m",
     "Atom", "Seq", "Ten", "TermSyntaxError", "TermTypeError", "check_equation",
     "eval_term", "parse", "pretty",
-    "Law", "LawResult", "format_results", "forget_contention", "laws", "run_suite",
+    "Law", "LawResult", "format_results", "laws", "run_suite",
     "decompose",
     "__version__",
 ]

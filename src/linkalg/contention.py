@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shape import nat, nat_rows, need
+from .shape import nat, nat_rows, nats, need
 
 
 @dataclass(frozen=True, init=False)
@@ -27,13 +27,10 @@ class CSet:
     adj: tuple
 
     def __init__(self, size, contention=(), *, adj=None):
-        if size < 0:
-            raise ValueError("size must be a natural number")
         if adj is None:
-            rows = [0] * size
-            for a, b in contention:
-                if not (0 <= a < size and 0 <= b < size):
-                    raise ValueError(f"contention pair ({a},{b}) out of range for size {size}")
+            rows = [0] * nat(size, "size")
+            for i, pair in enumerate(contention):
+                a, b = nats(list(pair), f"contention[{i}]", 2, size)
                 if a != b:  # reflexive pairs are implicit
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
@@ -102,9 +99,7 @@ def members(mask):
 def mask_of(x, elems):
     m = 0
     for e in elems:
-        if not (0 <= e < x.size):
-            raise ValueError(f"element {e} out of range for size {x.size}")
-        m |= 1 << e
+        m |= 1 << nat(e, "element", x.size)
     return m
 
 

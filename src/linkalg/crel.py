@@ -23,7 +23,7 @@ from .contention import (
     pc_contends_masks,
     set_of,
 )
-from .shape import nat_rows, need
+from .shape import nat, nat_rows, need
 
 
 class CheckResult(NamedTuple):
@@ -154,9 +154,7 @@ def op_graph(fn, cod_size):
     """
     pre = [0] * cod_size
     for x, v in enumerate(fn):
-        if not (0 <= v < cod_size):
-            raise ValueError(f"function value {v} out of range")
-        pre[v] |= 1 << x
+        pre[nat(v, f"function value at {x}", cod_size)] |= 1 << x
     return CRel(discrete(cod_size), discrete(len(fn)), masks=pre)
 
 

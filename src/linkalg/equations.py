@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import span_c, span_m
 from .contention import CSet, full
+from .span_m import forget_contention  # re-exported: the law table's bridge between the models
 from .terms import MODELS, eval_term, parse
 
 
@@ -167,13 +168,3 @@ def format_results(results):
 def _tf(b):
     return "true" if b else "false"
 
-
-def forget_contention(s):
-    """View a contention-model span as a multiset-model span.
-
-    Image subsets become 0/1 count tuples and the contention is
-    dropped; only meaningful when the resulting pairs stay distinct.
-    """
-    lrows = [tuple((m >> j) & 1 for j in range(s.left)) for m in s.lleg.img_masks]
-    rrows = [tuple((m >> j) & 1 for j in range(s.right)) for m in s.rleg.img_masks]
-    return span_m.span_m(s.left, s.right, lrows, rrows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 class SpanFormatError(ValueError):
-    """Span or cospan JSON that does not have the documented shape."""
+    """Span or cospan JSON, or a constructor argument, that does not have the documented shape."""
 
 
 def _show(x):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contention import CSet, coproduct, discrete, members
+from .contention import CSet, coproduct, discrete, full, members
 from .crel import CRel, compose as crel_compose, identity as crel_identity, op_graph, validate
-from .shape import nat_keys, nat_rows, nats, need
+from .shape import nat, nat_keys, nat_rows, nats, need
 from .sync_c import pullback
 
 
@@ -123,7 +123,10 @@ def find_iso(s, t):
     if sorted(sig_s) != sorted(sig_t):
         return None
     n = s.carrier.size
-    cands = [[j for j in range(n) if sig_t[j] == sig_s[i]] for i in range(n)]
+    by_sig = {}  # signature -> the elements of t that have it, in increasing order
+    for j, sig in enumerate(sig_t):
+        by_sig.setdefault(sig, []).append(j)
+    cands = [by_sig[sig] for sig in sig_s]
     s_adj, t_adj = s.carrier.adj, t.carrier.adj
     assignment = [-1] * n
     used = 0  # bitmask of the elements of t assigned so far
@@ -160,25 +163,22 @@ def iso_check(s, t):
     return find_iso(s, t) is not None
 
 
-GENERATOR_NAMES = ("copy", "del", "merge", "new", "split", "stop", "join", "start", "id", "swap")
-
-
-def generators():
-    """The ten basic arrows, keyed by their term-language names."""
-    from .contention import full
-
-    g = {}
-    g["copy"] = span_c(1, 2, discrete(1), [[0]], [[0, 1]])
-    g["del"] = span_c(1, 0, discrete(1), [[0]], [[]])
-    g["merge"] = span_c(2, 1, discrete(1), [[0, 1]], [[0]])
-    g["new"] = span_c(0, 1, discrete(1), [[]], [[0]])
-    g["split"] = span_c(1, 2, full(2), [[0], [0]], [[0], [1]])
-    g["stop"] = span_c(1, 0, CSet(0), [], [])
-    g["join"] = span_c(2, 1, full(2), [[0], [1]], [[0], [0]])
-    g["start"] = span_c(0, 1, CSet(0), [], [])
-    g["id"] = identity_span(1)
-    g["swap"] = span_c(2, 2, discrete(2), [[0], [1]], [[1], [0]])
-    return g
+# The ten basic arrows by term-language name, written out only here (model
+# m forgets their contention).  Built once and shared; generators()
+# returns a fresh dict over them.
+GENERATORS = {
+    "copy": span_c(1, 2, discrete(1), [[0]], [[0, 1]]),
+    "del": span_c(1, 0, discrete(1), [[0]], [[]]),
+    "merge": span_c(2, 1, discrete(1), [[0, 1]], [[0]]),
+    "new": span_c(0, 1, discrete(1), [[]], [[0]]),
+    "split": span_c(1, 2, full(2), [[0], [0]], [[0], [1]]),
+    "stop": span_c(1, 0, CSet(0), [], []),
+    "join": span_c(2, 1, full(2), [[0], [1]], [[0], [0]]),
+    "start": span_c(0, 1, CSet(0), [], []),
+    "id": identity_span(1),
+    "swap": span_c(2, 2, discrete(2), [[0], [1]], [[1], [0]]),
+}
+generators = GENERATORS.copy
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,11 @@ class Cospan:
     rmap: tuple
 
     def __post_init__(self):
+        nat_keys(vars(self), "left", "right", "carrier")
         if len(self.lmap) != self.left or len(self.rmap) != self.right:
             raise ValueError("boundary map lengths must match the boundaries")
         for v in tuple(self.lmap) + tuple(self.rmap):
-            if not (0 <= v < self.carrier):
-                raise ValueError("boundary map value out of range")
+            nat(v, "boundary map value", self.carrier)
         object.__setattr__(self, "lmap", tuple(self.lmap))
         object.__setattr__(self, "rmap", tuple(self.rmap))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import span_c
 from .multiset import MRel, checked_rows, identity_m, lift_m
 from .shape import nat_keys, nat_rows
 from .sync_m import min_msyncs
@@ -141,24 +142,21 @@ def find_iso(s, t):
     return [where[p] for p in s.pairs()]
 
 
-def generators_m():
-    """The ten basic arrows in the multiset model."""
-    g = {}
-    g["copy"] = span_m(1, 2, [[1]], [[1, 1]])
-    g["del"] = span_m(1, 0, [[1]], [[]])
-    g["merge"] = span_m(2, 1, [[1, 1]], [[1]])
-    g["new"] = span_m(0, 1, [[]], [[1]])
-    g["split"] = span_m(1, 2, [[1], [1]], [[1, 0], [0, 1]])
-    g["stop"] = span_m(1, 0, [], [])
-    g["join"] = span_m(2, 1, [[1, 0], [0, 1]], [[1], [1]])
-    g["start"] = span_m(0, 1, [], [])
-    g["id"] = identity_span_m(1)
-    g["swap"] = span_m(2, 2, [[1, 0], [0, 1]], [[0, 1], [1, 0]])
-    return g
+def forget_contention(s):
+    """View a contention-model span as a multiset-model span.
+
+    Image subsets become 0/1 count tuples and the contention is
+    dropped; only meaningful when the resulting pairs stay distinct.
+    """
+    lrows = [tuple((m >> j) & 1 for j in range(s.left)) for m in s.lleg.img_masks]
+    rrows = [tuple((m >> j) & 1 for j in range(s.right)) for m in s.rleg.img_masks]
+    return span_m(s.left, s.right, lrows, rrows)
 
 
-# the name every model module answers to (see terms.MODELS)
-generators = generators_m
+# model c's ten basic arrows with their contention forgotten, built once
+# and shared; generators_m() returns a fresh dict over them
+GENERATORS = {name: forget_contention(g) for name, g in span_c.GENERATORS.items()}
+generators_m = generators = GENERATORS.copy
 
 
 def random_span_m(rng, max_boundary=2, max_carrier=2, max_entry=2):

@@ -5,9 +5,8 @@ Grammar:  term   := factor (";" factor)*
           atom   := NAME | "(" term ")"
 
 "*" (tensor) binds tighter than ";" (sequential composition).  Atom
-names are copy, del, merge, new, split, stop, join, start, id, swap;
-one-character aliases from the usual string-diagram notation are
-accepted on input.
+names are the keys of span_c.GENERATORS; one-character aliases from the
+usual string-diagram notation are accepted on input.
 """
 
 from __future__ import annotations
@@ -17,23 +16,13 @@ from dataclasses import dataclass, field
 from . import span_c, span_m
 
 # The span modules are the model interface: each provides compose,
-# tensor, iso_check, find_iso and generators.  Callers look functions up
-# on the module at call time, so that rebinding a module attribute (as a
-# tracer does) reaches every caller.
+# tensor, iso_check, find_iso and GENERATORS, its ten basic arrows.
+# Callers look functions up on the module at call time, so that
+# rebinding a module attribute (as a tracer does) reaches every caller.
 MODELS = {"c": span_c, "m": span_m}
 
-ARITIES = {
-    "copy": (1, 2),
-    "del": (1, 0),
-    "merge": (2, 1),
-    "new": (0, 1),
-    "split": (1, 2),
-    "stop": (1, 0),
-    "join": (2, 1),
-    "start": (0, 1),
-    "id": (1, 1),
-    "swap": (2, 2),
-}
+# generator name -> (inputs, outputs), read off the spans themselves
+ARITIES = {name: (g.left, g.right) for name, g in span_c.GENERATORS.items()}
 
 ALIASES = {
     "Δ": "copy",   # Δ
@@ -59,8 +48,36 @@ class TermTypeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Term:
+    """Equality, hash and repr (the one dataclasses would generate) from one
+    walk over an explicit stack, so that no term reaches the recursion limit."""
+
+    def _parts(self):  # the pieces of the repr, in order
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, str):
+                yield x
+            elif isinstance(x, Atom):
+                yield f"Atom(name={x.name!r})"
+            else:
+                yield f"{type(x).__name__}(fst="
+                stack += (")", x.snd, ", snd=", x.fst)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Term):
+            return NotImplemented
+        return tuple(self._parts()) == tuple(other._parts())
+
+    def __hash__(self):
+        return hash(tuple(self._parts()))
+
+    def __repr__(self):
+        return "".join(self._parts())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Atom(_Term):
     name: str
 
     @property
@@ -74,24 +91,24 @@ class Atom:
 
 # dom and cod are stored, not derived on each access, so that reading
 # them on a long chain does not recurse down its spine
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Term):
     fst: object
     snd: object
-    dom: int = field(init=False, repr=False, compare=False)
-    cod: int = field(init=False, repr=False, compare=False)
+    dom: int = field(init=False)
+    cod: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dom", self.fst.dom)
         object.__setattr__(self, "cod", self.snd.cod)
 
 
-@dataclass(frozen=True)
-class Ten:
+@dataclass(frozen=True, eq=False, repr=False)
+class Ten(_Term):
     fst: object
     snd: object
-    dom: int = field(init=False, repr=False, compare=False)
-    cod: int = field(init=False, repr=False, compare=False)
+    dom: int = field(init=False)
+    cod: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dom", self.fst.dom + self.snd.dom)
@@ -218,13 +235,12 @@ def eval_term(t, model):
     mod = MODELS.get(model)
     if mod is None:
         raise ValueError(f"unknown model {model!r}")
-    gens = mod.generators()
     values = []
     stack = [(t, False)]
     while stack:
         x, operands_done = stack.pop()
         if isinstance(x, Atom):
-            values.append(gens[x.name])
+            values.append(mod.GENERATORS[x.name])
         elif not isinstance(x, (Seq, Ten)):
             raise TypeError(f"not a term: {x!r}")
         elif operands_done:

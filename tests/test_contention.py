@@ -160,3 +160,19 @@ def test_mask_set_round_trip():
     x = discrete(6)
     for elems in ({0, 3, 5}, set(), {2}):
         assert set_of(mask_of(x, elems)) == frozenset(elems)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CSet(True),
+        lambda: CSet(2.0),
+        lambda: CSet(2, [(False, True)]),
+        lambda: CSet(2, [(0, 1.0)]),
+        lambda: mask_of(discrete(2), [True]),
+    ],
+    ids=["CSet(True)", "CSet(2.0)", "bool pair", "float pair", "mask_of bool"],
+)
+def test_constructor_refuses_booleans_and_floats(build):
+    with pytest.raises(SpanFormatError, match="must be a natural number"):
+        build()

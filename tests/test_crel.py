@@ -154,3 +154,18 @@ def test_from_dict_refuses_booleans_and_floats():
         with pytest.raises(SpanFormatError) as e:
             CRel.from_dict(bad)
         assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CRel(discrete(1), discrete(2), [[True]]),
+        lambda: CRel(discrete(1), discrete(2), [[0.0]]),
+        lambda: op_graph([True], 2),
+        lambda: op_graph([1.0], 2),
+    ],
+    ids=["CRel bool", "CRel float", "op_graph bool", "op_graph float"],
+)
+def test_constructors_refuse_booleans_and_floats(build):
+    with pytest.raises(SpanFormatError, match="must be a natural number"):
+        build()

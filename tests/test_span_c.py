@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from linkalg.contention import CSet, discrete, full
+from linkalg.shape import SpanFormatError
 from linkalg.span_c import (
     Cospan,
     SpanC,
@@ -218,3 +219,55 @@ def test_serialisation_round_trip(rng):
         assert SpanC.from_dict(s.to_dict()) == s
     c = Cospan(2, 1, 2, (0, 1), (0,))
     assert Cospan.from_dict(c.to_dict()) == c
+
+
+def _contention_only(n, edges):
+    return span_c(0, 0, CSet(n, edges), [[]] * n, [[]] * n)
+
+
+def _cycle(*order):
+    return [(a, order[k - 1]) for k, a in enumerate(order)]
+
+
+C6 = _cycle(0, 1, 2, 3, 4, 5)
+
+
+def test_find_iso_backtracks_to_refuse_equal_signatures():
+    # every element of both carriers has two neighbours, so only the
+    # search can tell a 6-cycle from two triangles
+    triangles = _cycle(0, 1, 2) + _cycle(3, 4, 5)
+    assert find_iso(_contention_only(6, C6), _contention_only(6, triangles)) is None
+
+
+@pytest.mark.parametrize(
+    "s_edges, t_edges",
+    [
+        (C6, _cycle(0, 3, 1, 4, 2, 5)),
+        # here the first choice for element 2 is a dead end, undone later
+        (_cycle(0, 1, 3, 4, 2, 5), C6),
+    ],
+    ids=["relabelled", "with a dead end"],
+)
+def test_find_iso_backtracks_to_a_witness(s_edges, t_edges):
+    s, t = _contention_only(6, s_edges), _contention_only(6, t_edges)
+    w = find_iso(s, t)
+    assert sorted(w) == list(range(6))
+    for a in range(6):
+        for b in range(6):
+            assert s.carrier.contends(a, b) == t.carrier.contends(w[a], w[b])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: span_c(1, 2, discrete(1), [[0]], [[True]]),
+        lambda: span_c(1, 2, discrete(1), [[0]], [[1.0]]),
+        lambda: Cospan(1, 1, 2, (True,), (0,)),
+        lambda: Cospan(1, 1, 2.0, (0,), (0,)),
+        lambda: Cospan(True, 1, 2, (0,), (0,)),
+    ],
+    ids=["span_c bool", "span_c float", "Cospan bool map", "Cospan float carrier", "Cospan bool left"],
+)
+def test_constructors_refuse_booleans_and_floats(build):
+    with pytest.raises(SpanFormatError, match="must be a natural number"):
+        build()

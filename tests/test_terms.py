@@ -6,6 +6,7 @@ from linkalg import span_c, span_m
 from linkalg.terms import (
     ALIASES,
     ARITIES,
+    MODELS,
     Atom,
     Seq,
     Ten,
@@ -193,3 +194,30 @@ def test_check_equation_accepts_terms_or_strings():
 def test_check_equation_requires_matching_boundaries():
     with pytest.raises(TermTypeError, match=r"sides have different boundaries: 1->2 vs 2->1"):
         check_equation("copy", "merge", "c")
+
+
+def test_wide_terms_compare_hash_and_print_without_recursion():
+    text = " * ".join(["id"] * 1200)
+    t, u = parse(text), parse(text)
+    assert t == u and hash(t) == hash(u)
+    assert t != parse(" * ".join(["id"] * 1199) + " * swap")
+    assert repr(t).count("Atom(name='id')") == 1200
+
+
+def test_terms_compare_and_print_as_dataclasses_would():
+    t = parse("copy ; id * id")
+    assert repr(t) == "Seq(fst=Atom(name='copy'), snd=Ten(fst=Atom(name='id'), snd=Atom(name='id')))"
+    assert t == Seq(Atom("copy"), Ten(Atom("id"), Atom("id")))
+    assert len({t, parse("copy ; (id * id)")}) == 1
+    assert Seq(Atom("id"), Atom("id")) != Ten(Atom("id"), Atom("id"))
+    assert Atom("id") != "id"
+
+
+@pytest.mark.parametrize("model", ["c", "m"])
+def test_atoms_evaluate_to_generators_built_once(model):
+    assert eval_term(parse("split"), model) is eval_term(parse("split"), model)
+    gens = MODELS[model].generators()
+    assert gens is not MODELS[model].generators()
+    gens["split"] = gens["copy"]
+    assert eval_term(parse("split"), model) is MODELS[model].GENERATORS["split"]
+    assert eval_term(parse("split"), model).carrier != eval_term(parse("copy"), model).carrier
