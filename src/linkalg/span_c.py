@@ -30,8 +30,9 @@ class SpanC:
     def __post_init__(self):
         if self.lleg.dom != self.carrier or self.rleg.dom != self.carrier:
             raise ValueError("legs must share the carrier as domain")
-        if self.lleg.cod != discrete(self.left) or self.rleg.cod != discrete(self.right):
-            raise ValueError("boundaries must be discrete of the stated sizes")
+        for leg, size in ((self.lleg, self.left), (self.rleg, self.right)):
+            if leg.cod.size != size or any(leg.cod.adj):
+                raise ValueError("boundaries must be discrete of the stated sizes")
 
     def check(self):
         from .crel import CheckResult
@@ -140,10 +141,14 @@ def find_iso(s, t):
             used ^= 1 << assignment[i]
             assignment[i] = -1
         # j fits i when its assigned neighbours are the images of i's
-        # neighbours among 0..i-1
-        want = 0
-        for k in members(s_adj[i] & ((1 << i) - 1)):
-            want |= 1 << assignment[k]
+        # neighbours among 0..i-1.  used holds the images of all of
+        # 0..i-1, so when i contends with most of them, take the images
+        # of the others away from used instead.
+        earlier = (1 << i) - 1
+        nbrs = s_adj[i] & earlier
+        want, rest = (used, earlier ^ nbrs) if 2 * nbrs.bit_count() > i else (0, nbrs)
+        for k in members(rest):
+            want ^= 1 << assignment[k]
         row = cands[i]
         while tried[i] < len(row):
             j = row[tried[i]]

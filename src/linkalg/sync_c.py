@@ -105,26 +105,79 @@ def sync_space(f, g, pairs):
     """The c-set on the synchronisations (umask, vmask) in pairs.
 
     Two contend when their U parts or their V parts contend as subsets.
-    For every element e of either domain, holders[e] holds the
-    synchronisations whose part on that side contains e, and touches[e]
-    those whose part contains e or an element contending with e; a
+    On each side, holders[e] holds the synchronisations whose part on
+    that side contains the element e.  Those whose part contains e or
+    an element contending with e, touches[e], are the OR of holders
+    over e's closed neighbourhood adj[e] | 1 << e, which is e's key.  A
     synchronisation's row is the OR of touches over the members of its
     two parts, less its own bit.
+
+    Elements often share a key (on a full carrier all do), so the OR is
+    computed once per distinct key and kept in a memo.  It is computed
+    one of two ways.  Walking the key's bits costs one step per bit.
+    Tables cost one lookup per 8-element chunk of the domain: the table
+    of a chunk holds the OR of holders over every subset of the chunk
+    (the method of Four Russians).  Building them costs about 32 steps
+    per element, since a chunk's table has 256 entries.  The tables are
+    used when the summed popcounts of the distinct keys exceed that
+    cost plus one lookup per chunk and key, so the input decides.
     """
     rows = [0] * len(pairs)
     for side, dom in enumerate((f.dom, g.dom)):
         holders = [0] * dom.size
         for i, p in enumerate(pairs):
-            for e in members(p[side]):
-                holders[e] |= 1 << i
-        touches = list(holders)
-        for e, row in enumerate(dom.adj):
-            for nb in members(row):
-                touches[e] |= holders[nb]
+            m, bit = p[side], 1 << i
+            while m:
+                low = m & -m
+                holders[low.bit_length() - 1] |= bit
+                m ^= low
+        keys = [row | 1 << e for e, row in enumerate(dom.adj)]
+        distinct = set(keys)
+        chunks = -(-dom.size // 8)
+        if sum(key.bit_count() for key in distinct) > 32 * dom.size + len(distinct) * chunks:
+            memo = _ors_by_tables(holders, distinct)
+        else:
+            memo = _ors_by_walk(holders, distinct)
+        touches = [memo[key] for key in keys]
         for i, p in enumerate(pairs):
-            for e in members(p[side]):
-                rows[i] |= touches[e]
+            m, row = p[side], rows[i]
+            while m:
+                low = m & -m
+                row |= touches[low.bit_length() - 1]
+                m ^= low
+            rows[i] = row
     return CSet(len(pairs), adj=[row & ~(1 << i) for i, row in enumerate(rows)])
+
+
+def _ors_by_walk(holders, keys):
+    """{key: the OR of holders[e] over the members e of key}, bit by bit."""
+    memo = {}
+    for key in keys:
+        acc, m = 0, key
+        while m:
+            low = m & -m
+            acc |= holders[low.bit_length() - 1]
+            m ^= low
+        memo[key] = acc
+    return memo
+
+
+def _ors_by_tables(holders, keys):
+    """The same as _ors_by_walk, by one table lookup per 8-element chunk."""
+    tables = []
+    for c in range(0, len(holders), 8):
+        table = [0]  # index s: the OR over the chunk members whose bits s sets
+        for h in holders[c:c + 8]:
+            table += [t | h for t in table]
+        tables.append(table)
+    memo = {}
+    for key in keys:
+        acc = 0
+        for table, byte in zip(tables, key.to_bytes(len(tables), "little")):
+            if byte:
+                acc |= table[byte]
+        memo[key] = acc
+    return memo
 
 
 def pullback(f, g):

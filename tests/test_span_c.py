@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from linkalg.contention import CSet, discrete, full
+from linkalg.crel import CRel
 from linkalg.shape import SpanFormatError
 from linkalg.span_c import (
     Cospan,
@@ -39,6 +40,22 @@ def test_generator_boundaries():
         s = GENS[name]
         assert (s.left, s.right) == (k, l), name
         assert s.check(), name
+
+
+@pytest.mark.parametrize(
+    "left, right, lcod, rcod",
+    [
+        (1, 1, discrete(2), discrete(1)),
+        (1, 1, discrete(1), discrete(0)),
+        (2, 1, full(2), discrete(1)),
+        (1, 2, discrete(1), full(2)),
+    ],
+    ids=["left too large", "right too small", "left contends", "right contends"],
+)
+def test_boundaries_must_be_discrete_of_the_stated_sizes(left, right, lcod, rcod):
+    x = discrete(1)
+    with pytest.raises(ValueError, match="boundaries must be discrete of the stated sizes"):
+        SpanC(left, right, x, CRel(x, lcod, masks=[0]), CRel(x, rcod, masks=[0]))
 
 
 def test_copy_and_split_differ_only_in_contention():
@@ -230,13 +247,25 @@ def _cycle(*order):
 
 
 C6 = _cycle(0, 1, 2, 3, 4, 5)
+PRISM = _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 3), (1, 4), (2, 5)]
+K33 = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
 
 
-def test_find_iso_backtracks_to_refuse_equal_signatures():
-    # every element of both carriers has two neighbours, so only the
-    # search can tell a 6-cycle from two triangles
-    triangles = _cycle(0, 1, 2) + _cycle(3, 4, 5)
-    assert find_iso(_contention_only(6, C6), _contention_only(6, triangles)) is None
+@pytest.mark.parametrize(
+    "s_edges, t_edges",
+    [
+        (C6, _cycle(0, 1, 2) + _cycle(3, 4, 5)),
+        # 3-regular: elements 3, 4, 5 of K_{3,3} contend with all of
+        # their predecessors, so their images are found from the
+        # complement of their rows
+        (K33, PRISM),
+    ],
+    ids=["C6 vs two triangles", "K33 vs prism"],
+)
+def test_find_iso_backtracks_to_refuse_equal_signatures(s_edges, t_edges):
+    # every element of both carriers has the same degree, so only the
+    # search can tell the two apart
+    assert find_iso(_contention_only(6, s_edges), _contention_only(6, t_edges)) is None
 
 
 @pytest.mark.parametrize(
@@ -245,8 +274,10 @@ def test_find_iso_backtracks_to_refuse_equal_signatures():
         (C6, _cycle(0, 3, 1, 4, 2, 5)),
         # here the first choice for element 2 is a dead end, undone later
         (_cycle(0, 1, 3, 4, 2, 5), C6),
+        # mixes rows found directly and from their complement
+        (PRISM, _cycle(4, 0, 5) + _cycle(2, 3, 1) + [(4, 2), (0, 3), (5, 1)]),
     ],
-    ids=["relabelled", "with a dead end"],
+    ids=["relabelled", "with a dead end", "relabelled prism"],
 )
 def test_find_iso_backtracks_to_a_witness(s_edges, t_edges):
     s, t = _contention_only(6, s_edges), _contention_only(6, t_edges)

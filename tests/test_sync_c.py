@@ -1,14 +1,16 @@
 """Minimal synchronisations, the pullback, and its mediating arrows."""
 
 import itertools
+import random
 
 import pytest
 
 from linkalg.contention import CSet, discrete, full, indep_masks, set_of
 from linkalg.crel import CRel, compose, crel, identity, lift_mask, random_crel, random_cset, validate
-from linkalg import span_c
-from linkalg.span_c import compose as compose_spans, generators
+from linkalg import span_c, sync_c
 from linkalg.sync_c import (
+    _ors_by_tables,
+    _ors_by_walk,
     is_sync,
     mediator,
     min_sync_masks,
@@ -141,22 +143,60 @@ def test_minimal_syncs_inside_a_sync_are_disjoint(rng):
                 assert (au, bu) == (mu, mv)
 
 
-def test_sync_space_matches_pairwise_reference(rng):
+def _matched_away(rng, n):
+    """Each element contends with all but one other (the last one, for
+    odd n, with all): every closed neighbourhood differs."""
+    order = rng.sample(range(n), n)
+    matched = {frozenset(p) for p in zip(order[0::2], order[1::2])}
+    return CSet(n, [p for p in itertools.combinations(range(n), 2) if frozenset(p) not in matched])
+
+
+def _dense(rng, n):
+    return CSet(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.7])
+
+
+def _sync_space_cases(rng, monkeypatch):
+    """Facing legs for sync_space: small random ones; domains on both
+    sides of the 8-element chunks, dense or matched away; and every
+    pullback of (join ; split)^5 and of a randomly bracketed 128-link B
+    chain, evaluated, the last one on the chunk tables."""
+    cases = []
     for _ in range(200):
         cod = random_cset(rng, max_size=4)
-        f = random_crel(rng, cod=cod, max_size=6)
-        g = random_crel(rng, cod=cod, max_size=6)
-        pairs = min_sync_masks(f, g)
-        assert sync_space(f, g, pairs) == naive_sync_space(f, g, pairs)
-    # every pullback that evaluating (join ; split)^5 from the left builds
-    gens = generators()
-    s = gens["join"]
-    for name in ["split", "join"] * 4 + ["split"]:
-        t = gens[name]
-        pairs = min_sync_masks(s.rleg, t.lleg)
-        assert sync_space(s.rleg, t.lleg, pairs) == naive_sync_space(s.rleg, t.lleg, pairs)
-        s = compose_spans(s, t)
-    assert s.carrier.size == 64
+        cases.append((random_crel(rng, cod=cod, max_size=6), random_crel(rng, cod=cod, max_size=6)))
+    for n in (7, 8, 9, 15, 16, 17, 66):
+        for dom in (_dense, _matched_away):
+            cod = CSet(3, [(0, 1)])
+            cases.append((random_crel(rng, dom=dom(rng, n), cod=cod), random_crel(rng, dom=dom(rng, n), cod=cod)))
+    tables = []
+    monkeypatch.setattr(span_c, "pullback", lambda f, g: cases.append((f, g)) or pullback(f, g))
+    monkeypatch.setattr(sync_c, "_ors_by_tables", lambda h, k: tables.append(k) or _ors_by_tables(h, k))
+    assert eval_c(parse(" ; ".join(["join ; split"] * 5))).carrier.size == 64
+    assert not tables
+    # this bracketing ends in a pullback of two 128-element domains
+    layers = ["(split * split)", "(id * swap * id)", "(join * join)"] * 6
+    assert eval_c(parse(_bracket(layers, random.Random(2)))).carrier.size == 128
+    assert tables
+    monkeypatch.undo()
+    return cases
+
+
+def _bracket(items, rng):
+    if len(items) == 1:
+        return items[0]
+    k = rng.randint(1, len(items) - 1)
+    return f"({_bracket(items[:k], rng)} ; {_bracket(items[k:], rng)})"
+
+
+def test_sync_space_matches_pairwise_reference(rng, monkeypatch):
+    """Both ways of building the touches masks, each forced in turn."""
+    cases = _sync_space_cases(rng, monkeypatch)
+    for path in (_ors_by_walk, _ors_by_tables):
+        monkeypatch.setattr(sync_c, "_ors_by_walk", path)
+        monkeypatch.setattr(sync_c, "_ors_by_tables", path)
+        for f, g in cases:
+            pairs = min_sync_masks(f, g)
+            assert sync_space(f, g, pairs) == naive_sync_space(f, g, pairs)
 
 
 def test_pullback_legs_are_valid_and_commute(rng):
