@@ -6,7 +6,8 @@ input and written to standard output (or --output).  Span JSON is
 validated as it is read.  Exit status 0 is a clean answer (including
 "false"), 1 a domain error such as mismatched boundaries or a span that
 breaks the arrow or injectivity condition, 2 a parse or input error,
-including JSON of the wrong shape (see linkalg.shape).
+including input that is not UTF-8, JSON nested too deeply for the
+decoder, and JSON of the wrong shape (see linkalg.shape).
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ def _read_text(path):
 
 
 def _load_json(path):
-    return json.loads(_read_text(path))
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SpanFormatError("JSON nested too deeply") from None
 
 
 def _load_span(obj):
@@ -188,7 +193,7 @@ def main(argv=None):
     except TermSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError, SpanFormatError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError, SpanFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TermTypeError, ValueError, KeyError, TypeError) as exc:

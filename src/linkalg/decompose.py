@@ -167,8 +167,8 @@ def _synthesize(s):
         la = [list(members(m)) for m in s.lleg.img_masks]
         ra = [list(members(m)) for m in s.rleg.img_masks]
         return _assemble(s.left, s.right, s.carrier.size, la, ra, _gadget_pairs(s))
-    la = [[p for p, c in enumerate(row) for _ in range(c)] for row in s.lleg.rows]
-    ra = [[q for q, c in enumerate(row) for _ in range(c)] for row in s.rleg.rows]
+    la = [[p for p, c in enumerate(l) for _ in range(c)] for l, _ in s.links]
+    ra = [[q for q, c in enumerate(r) for _ in range(c)] for _, r in s.links]
     return _assemble(s.left, s.right, s.carrier, la, ra, [])
 
 
@@ -187,7 +187,7 @@ def decompose(s):
     """
     if not isinstance(s, (SpanC, SpanM)):
         raise TypeError("expected a span value")
-    if not s.check():
+    if isinstance(s, SpanC) and not s.check():  # a SpanM is valid once built
         raise ValueError("span is not valid")
     term = _synthesize(s)
     if not MODELS[s.MODEL].iso_check(eval_term(term, s.MODEL), s):

@@ -60,9 +60,6 @@ class MRel:
         object.__setattr__(f, "rows", rows)
         return f
 
-    def __call__(self, x):
-        return self.rows[x]
-
     def to_matrix(self):
         return [list(r) for r in self.rows]
 

@@ -2,52 +2,67 @@
 
 An arrow k -> l is a span k <= x => l of multirelations whose legs are
 jointly injective: the pairing x -> (multisets over k) x (multisets
-over l) has no repeated value.  Composition takes the weak pullback of
-the facing legs and then identifies carrier elements with equal outer
-image pairs, which restores joint injectivity.
+over l) has no repeated value.  Up to isomorphism of the carrier such a
+span is exactly its set of links, the (left image, right image) count
+tuple pairs, so a SpanM stores that set, sorted: two spans are
+isomorphic exactly when they are equal.  Composition takes the weak
+pullback of the facing legs and keeps the distinct outer image pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import span_c
-from .multiset import MRel, checked_rows, identity_m, lift_m
+from .multiset import MRel, checked_rows, identity_m, lift_m, random_mrel
 from .shape import nat_keys, nat_rows
 from .sync_m import min_msyncs
 
 
 @dataclass(frozen=True)
 class SpanM:
+    """links: the distinct (left counts, right counts) pairs, sorted on
+    construction.  A repeated link, or a row whose length is not its
+    boundary, raises ValueError; the counts themselves are checked by
+    span_m and from_dict."""
+
     left: int
     right: int
-    carrier: int
-    lleg: MRel
-    rleg: MRel
+    links: tuple
 
     MODEL = "m"
 
     def __post_init__(self):
-        if self.lleg.dom != self.carrier or self.rleg.dom != self.carrier:
-            raise ValueError("legs must share the carrier as domain")
-        if self.lleg.cod != self.left or self.rleg.cod != self.right:
-            raise ValueError("leg codomains must match the boundaries")
+        links = tuple(sorted(self.links))
+        if any(len(l) != self.left or len(r) != self.right for l, r in links):
+            raise ValueError("link rows must match the boundaries")
+        if any(a == b for a, b in zip(links, links[1:])):
+            raise ValueError("legs are not jointly injective")
+        object.__setattr__(self, "links", links)
 
-    def pairs(self):
-        """The links as (left image, right image) count tuple pairs, in carrier order."""
-        return list(zip(self.lleg.rows, self.rleg.rows))
+    # the carrier and the two legs, read off the links; the legs are
+    # built on first use and kept
+    @property
+    def carrier(self):
+        return len(self.links)
 
-    def check(self):
-        return len(set(self.pairs())) == self.carrier
+    @cached_property
+    def lleg(self):
+        return MRel.derived(len(self.links), self.left, tuple(l for l, _ in self.links))
+
+    @cached_property
+    def rleg(self):
+        return MRel.derived(len(self.links), self.right, tuple(r for _, r in self.links))
 
     def to_dict(self):
         return {
             "model": "m",
             "left": self.left,
             "right": self.right,
-            "carrier": self.carrier,
-            "lleg": self.lleg.to_matrix(),
-            "rleg": self.rleg.to_matrix(),
+            "carrier": len(self.links),
+            "lleg": [list(l) for l, _ in self.links],
+            "rleg": [list(r) for _, r in self.links],
         }
 
     @classmethod
@@ -59,48 +74,27 @@ class SpanM:
         """
         left, right, n = nat_keys(d, "left", "right", "carrier")
         lrows, rrows = nat_rows(d, "lleg", n, left), nat_rows(d, "rleg", n, right)
-        pairs = list(zip(map(tuple, lrows), map(tuple, rrows)))
-        if len(set(pairs)) < n:
-            raise ValueError("invalid span: legs are not jointly injective")
-        return _span(left, right, pairs)
-
-
-def _span(left, right, pairs):
-    """The span whose links are the (left, right) count tuple pairs, in
-    the given order; the pairs are not checked."""
-    n = len(pairs)
-    return SpanM(
-        left,
-        right,
-        n,
-        MRel.derived(n, left, tuple(l for l, _ in pairs)),
-        MRel.derived(n, right, tuple(r for _, r in pairs)),
-    )
+        try:
+            return cls(left, right, zip(map(tuple, lrows), map(tuple, rrows)))
+        except ValueError as exc:
+            raise ValueError(f"invalid span: {exc}") from None
 
 
 def span_m(left, right, lrows, rrows):
     n = len(lrows)
     if len(rrows) != n:
         raise ValueError("leg row counts differ")
-    pairs = list(zip(checked_rows(lrows, n, left), checked_rows(rrows, n, right)))
-    if len(set(pairs)) < n:
-        raise ValueError("legs are not jointly injective")
-    return _span(left, right, pairs)
-
-
-def canonical(s):
-    """Sort the carrier by image pair; a normal form for iso classes."""
-    return _span(s.left, s.right, sorted(s.pairs()))
+    return SpanM(left, right, zip(checked_rows(lrows, n, left), checked_rows(rrows, n, right)))
 
 
 def factorise(left, right, pairs):
-    """Quotient a family of image pairs to its distinct values, sorted."""
-    return _span(left, right, sorted(set(pairs)))
+    """Quotient a family of image pairs to its distinct values."""
+    return SpanM(left, right, set(pairs))
 
 
 def identity_span_m(n):
     rows = identity_m(n).rows
-    return _span(n, n, list(zip(rows, rows)))
+    return SpanM(n, n, zip(rows, rows))
 
 
 def compose(s, t):
@@ -114,10 +108,10 @@ def compose(s, t):
 def tensor(s, t):
     pairs = [
         (l + (0,) * t.left, r + (0,) * t.right)
-        for l, r in s.pairs()
+        for l, r in s.links
     ] + [
         ((0,) * s.left + l, (0,) * s.right + r)
-        for l, r in t.pairs()
+        for l, r in t.links
     ]
     # distinct pairs can only collide on all-zero rows; identifying those
     # keeps the result jointly injective
@@ -125,32 +119,25 @@ def tensor(s, t):
 
 
 def iso_check(s, t):
-    """Joint injectivity makes this equality of image pair sets."""
-    if (s.left, s.right, s.carrier) != (t.left, t.right, t.carrier):
-        return False
-    return sorted(s.pairs()) == sorted(t.pairs())
+    """Links are stored as a sorted set, so isomorphism is equality."""
+    return s == t
 
 
 def find_iso(s, t):
-    """A carrier bijection matching image pairs, or None; ValueError if the
-    legs are not jointly injective, where a lookup cannot give a bijection."""
-    if not iso_check(s, t):
-        return None
-    where = {p: j for j, p in enumerate(t.pairs())}
-    if len(where) < t.carrier:
-        raise ValueError("legs are not jointly injective")
-    return [where[p] for p in s.pairs()]
+    """The carrier bijection, or None: equal spans list their links in
+    the same order, so it is the identity."""
+    return list(range(s.carrier)) if s == t else None
 
 
 def forget_contention(s):
     """View a contention-model span as a multiset-model span.
 
     Image subsets become 0/1 count tuples and the contention is
-    dropped; only meaningful when the resulting pairs stay distinct.
+    dropped; ValueError if two links then coincide.
     """
     lrows = [tuple((m >> j) & 1 for j in range(s.left)) for m in s.lleg.img_masks]
     rrows = [tuple((m >> j) & 1 for j in range(s.right)) for m in s.rleg.img_masks]
-    return span_m(s.left, s.right, lrows, rrows)
+    return SpanM(s.left, s.right, zip(lrows, rrows))
 
 
 # model c's ten basic arrows with their contention forgotten, built once
@@ -160,17 +147,12 @@ generators_m = generators = GENERATORS.copy
 
 
 def random_span_m(rng, max_boundary=2, max_carrier=2, max_entry=2):
-    from .multiset import random_mrel
-
     while True:
         k, l = rng.randint(0, max_boundary), rng.randint(0, max_boundary)
         n = rng.randint(0, max_carrier)
-        s = SpanM(
-            k,
-            l,
-            n,
-            random_mrel(rng, dom=n, cod=k, max_entry=max_entry),
-            random_mrel(rng, dom=n, cod=l, max_entry=max_entry),
-        )
-        if s.check():
-            return canonical(s)
+        links = set(zip(
+            random_mrel(rng, dom=n, cod=k, max_entry=max_entry).rows,
+            random_mrel(rng, dom=n, cod=l, max_entry=max_entry).rows,
+        ))
+        if len(links) == n:
+            return SpanM(k, l, links)

@@ -371,11 +371,11 @@ def test_criterion_10_every_small_span_factors_into_generators(rng):
     for k in range(3):
         for l in range(3):
             pairs = [(lr, rr) for lr in product(range(3), repeat=k) for rr in product(range(3), repeat=l)]
-            spans = [SpanM(k, l, 0, MRel(0, k, ()), MRel(0, l, ()))]
-            spans += [SpanM(k, l, 1, MRel(1, k, (p[0],)), MRel(1, l, (p[1],))) for p in pairs]
+            spans = [SpanM(k, l, ())]
+            spans += [SpanM(k, l, [p]) for p in pairs]
             for i, p in enumerate(pairs):
                 for q in pairs[i + 1:]:
-                    spans.append(SpanM(k, l, 2, MRel(2, k, (p[0], q[0])), MRel(2, l, (p[1], q[1]))))
+                    spans.append(SpanM(k, l, [p, q]))
             for s in spans:
                 swept_m += 1
                 if not span_m.iso_check(eval_m(decompose(s)), s):

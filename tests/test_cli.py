@@ -77,15 +77,15 @@ def test_eq_witness_is_a_carrier_bijection(capsys, monkeypatch):
 
 
 def test_model_m_carrier_order_and_witness_are_pinned(capsys, monkeypatch):
-    """Generators keep their links in the order written; composites are
-    sorted, so split against split ; swap is the transposition."""
+    """Every model-m span lists its links sorted, generators too, so
+    isomorphic spans are equal and the witness is the identity."""
     code, out, _ = run(capsys, monkeypatch, ["eval", "-m", "m", "split"])
     assert (code, out) == (
         0,
-        '{"carrier":2,"left":1,"lleg":[[1],[1]],"model":"m","right":2,"rleg":[[1,0],[0,1]]}\n',
+        '{"carrier":2,"left":1,"lleg":[[1],[1]],"model":"m","right":2,"rleg":[[0,1],[1,0]]}\n',
     )
     code, out, _ = run(capsys, monkeypatch, ["eq", "-m", "m", "--witness", "split", "split ; swap"])
-    assert (code, out) == (0, "true\n[1,0]\n")
+    assert (code, out) == (0, "true\n[0,1]\n")
     code, out, _ = run(capsys, monkeypatch, ["eq", "-m", "m", "--witness", "split", "split"])
     assert (code, out) == (0, "true\n[0,1]\n")
 
@@ -195,6 +195,25 @@ def test_bad_json_and_missing_files_exit_two(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _, err = run(capsys, monkeypatch, ["compose", str(tmp_path / "gone.json"), "-"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["compose"], ["decompose", "-m", "m"], ["embed"]])
+def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, argv):
+    # deep enough that the JSON decoder gives up with RecursionError
+    code, out, err = run(capsys, monkeypatch, argv, stdin="[" * 100000 + "]" * 100000)
+    assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, monkeypatch, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for argv in (["embed", str(bad)], ["decompose", "-m", "c", str(bad)], ["compose", str(bad), str(bad)]):
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert (code, out) == (2, "") and "can't decode" in err, argv
+    # the same bytes on a strictly decoded standard input
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8"))
+    code, out, err = run(capsys, monkeypatch, ["embed"])
+    assert (code, out) == (2, "") and "can't decode" in err
 
 
 def test_malformed_span_json_exits_two(capsys, monkeypatch):

@@ -2,10 +2,8 @@
 
 import pytest
 
-from linkalg.multiset import MRel
 from linkalg.span_m import (
     SpanM,
-    canonical,
     compose,
     factorise,
     find_iso,
@@ -39,6 +37,9 @@ def test_split_and_copy_still_differ_here():
 def test_joint_injectivity_enforced():
     with pytest.raises(ValueError, match="jointly injective"):
         span_m(1, 1, [[1], [1]], [[0], [0]])
+    with pytest.raises(ValueError, match="^invalid span: legs are not jointly injective$"):
+        SpanM.from_dict({"model": "m", "left": 1, "right": 1, "carrier": 2,
+                         "lleg": [[1], [1]], "rleg": [[0], [0]]})
 
 
 @pytest.mark.parametrize("entry", [True, 1.5, "2", -1])
@@ -59,18 +60,18 @@ def test_join_then_split_merges_parallel_paths():
     s = compose(GENS["join"], GENS["split"])
     # four crossing links, one per port pair, each weight 1
     assert s.carrier == 4
-    assert sorted(s.pairs()) == [
+    assert s.links == (
         ((0, 1), (0, 1)),
         ((0, 1), (1, 0)),
         ((1, 0), (0, 1)),
         ((1, 0), (1, 0)),
-    ]
+    )
 
 
 def test_copy_then_join_doubles_the_weight():
     s = compose(GENS["copy"], GENS["join"])
     assert s.carrier == 1
-    assert s.pairs() == [((1,), (2,))]
+    assert s.links == (((1,), (2,)),)
 
 
 def test_compose_factorises_repeated_pairs():
@@ -78,8 +79,7 @@ def test_compose_factorises_repeated_pairs():
     a = span_m(1, 2, [[1]], [[1, 1]])
     b = span_m(2, 0, [[1, 0], [0, 1]], [[], []])
     s = compose(a, b)
-    assert s.check()
-    assert s.carrier == 1
+    assert s.links == (((1,), ()),)
 
 
 def test_identity_units(rng):
@@ -92,19 +92,21 @@ def test_identity_units(rng):
 def test_composition_associative(rng):
     for _ in range(60):
         a = random_span_m(rng)
-        b = random_span_m(rng)
-        b = SpanM(a.right, b.right, b.carrier, _reshape(b.lleg, a.right), b.rleg)
-        if not b.check():
+        b = _with_left(random_span_m(rng), a.right)
+        if b is None:
             continue
-        c = random_span_m(rng)
-        c = SpanM(b.right, c.right, c.carrier, _reshape(c.lleg, b.right), c.rleg)
-        if not c.check():
+        c = _with_left(random_span_m(rng), b.right)
+        if c is None:
             continue
         assert iso_check(compose(compose(a, b), c), compose(a, compose(b, c)))
 
 
-def _reshape(leg, new_cod):
-    return MRel(leg.dom, new_cod, tuple((r + (0,) * new_cod)[:new_cod] for r in leg.rows))
+def _with_left(s, k):
+    """s with its left rows cut or padded to k counts; None if links then coincide."""
+    try:
+        return SpanM(k, s.right, [((l + (0,) * k)[:k], r) for l, r in s.links])
+    except ValueError:
+        return None
 
 
 def test_tensor_blocks_and_zero_collision():
@@ -113,32 +115,30 @@ def test_tensor_blocks_and_zero_collision():
     t = tensor(a, b)
     assert t.carrier == 2
     # a closed loop on each side collapses to one loop after the tensor
-    loop = SpanM(0, 0, 1, MRel(1, 0, ((),)), MRel(1, 0, ((),)))
+    loop = SpanM(0, 0, [((), ())])
     tt = tensor(loop, loop)
-    assert tt.carrier == 1
-    assert tt.check()
+    assert tt.links == (((), ()),)
 
 
-def test_canonical_sorts_pairs():
+def test_construction_sorts_links():
     s = span_m(1, 1, [[2], [1]], [[0], [1]])
-    c = canonical(s)
-    assert c.pairs() == sorted(s.pairs())
-    assert iso_check(s, c)
+    assert s.links == (((1,), (1,)), ((2,), (0,)))
+    assert s == span_m(1, 1, [[1], [2]], [[1], [0]]) == SpanM(1, 1, reversed(s.links))
 
 
 def test_iso_is_pair_set_equality(rng):
     for _ in range(60):
         s = random_span_m(rng)
-        perm = canonical(s)
-        assert iso_check(s, perm)
-        if s.carrier:
+        # the links in another order build the same span
+        perm = SpanM(s.left, s.right, reversed(s.links))
+        assert iso_check(s, perm) and perm.links == s.links
+        if s.carrier and s.left:
             # damaging one weight breaks the isomorphism
-            rows = list(s.lleg.rows)
-            if s.left:
-                rows[0] = (rows[0][0] + 1,) + rows[0][1:]
-                t = SpanM(s.left, s.right, s.carrier, MRel(s.carrier, s.left, rows), s.rleg)
-                if t.check():
-                    assert not iso_check(s, t)
+            links = list(s.links)
+            l, r = links[0]
+            links[0] = ((l[0] + 1,) + l[1:], r)
+            if len(set(links)) == len(links):
+                assert not iso_check(s, SpanM(s.left, s.right, links))
 
 
 def test_factorise_deduplicates():
@@ -152,30 +152,41 @@ def test_serialisation_round_trip(rng):
         assert SpanM.from_dict(s.to_dict()) == s
 
 
-def test_carrier_order_is_kept():
-    """Links stay in the order given; only compose, tensor and canonical sort."""
+def test_json_lists_links_in_sorted_order():
+    """Links are kept sorted whatever order they come in, so JSON lists
+    them sorted; the leg views follow the same order."""
     d = {"model": "m", "left": 1, "right": 2, "carrier": 3,
          "lleg": [[2], [0], [1]], "rleg": [[0, 1], [1, 1], [1, 0]]}
     s = SpanM.from_dict(d)
-    assert s.pairs() == [((2,), (0, 1)), ((0,), (1, 1)), ((1,), (1, 0))]
-    assert s.to_dict() == d
+    assert s.links == (((0,), (1, 1)), ((1,), (1, 0)), ((2,), (0, 1)))
+    assert s.to_dict() == {**d, "lleg": [[0], [1], [2]], "rleg": [[1, 1], [1, 0], [0, 1]]}
     assert span_m(1, 2, d["lleg"], d["rleg"]) == s
-    assert GENS["split"].to_dict()["rleg"] == [[1, 0], [0, 1]]
+    assert (s.lleg.dom, s.lleg.cod, s.lleg.rows) == (3, 1, ((0,), (1,), (2,)))
+    assert (s.rleg.dom, s.rleg.cod, s.rleg.rows) == (3, 2, ((1, 1), (1, 0), (0, 1)))
+    assert s.lleg is s.lleg and s.rleg is s.rleg  # each view is built once
+    assert GENS["split"].to_dict()["rleg"] == [[0, 1], [1, 0]]
 
 
 def test_find_iso_returns_the_carrier_permutation():
+    # equal spans list their links in one order: the bijection is the identity
     s = span_m(1, 2, [(2,), (0,), (1,)], [(0, 1), (1, 1), (1, 0)])
     t = span_m(1, 2, [(1,), (2,), (0,)], [(1, 0), (0, 1), (1, 1)])
-    assert find_iso(s, t) == [1, 2, 0]
-    assert find_iso(t, s) == [2, 0, 1]
-    assert find_iso(s, s) == [0, 1, 2]
-    assert find_iso(s, canonical(s)) == [2, 0, 1]
+    assert find_iso(s, t) == [0, 1, 2]
+    assert find_iso(t, s) == [0, 1, 2]
     assert find_iso(s, GENS["split"]) is None
+    assert find_iso(GENS["del"], GENS["del"]) == [0]
 
 
-def test_find_iso_refuses_legs_that_are_not_jointly_injective():
-    # two equal links: a lookup by image pair cannot give a bijection
-    leg = MRel(2, 1, [(1,), (1,)])
-    s = SpanM(1, 1, 2, leg, leg)
-    with pytest.raises(ValueError, match="jointly injective"):
-        find_iso(s, s)
+def test_a_repeated_link_cannot_be_built():
+    # two equal links would be legs that are not jointly injective
+    with pytest.raises(ValueError, match="^legs are not jointly injective$"):
+        SpanM(1, 1, [((1,), (1,))] * 2)
+    # the repeats need not be next to each other in the input
+    with pytest.raises(ValueError, match="^legs are not jointly injective$"):
+        SpanM(1, 1, [((1,), (1,)), ((0,), (1,)), ((1,), (1,))])
+
+
+@pytest.mark.parametrize("links", [[((1, 0), (1,))], [((1,), ())], [((1,), (0,)), ((), (1,))]])
+def test_link_rows_must_match_the_boundaries(links):
+    with pytest.raises(ValueError, match="^link rows must match the boundaries$"):
+        SpanM(1, 1, links)
