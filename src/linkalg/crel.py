@@ -61,9 +61,6 @@ class CRel:
         """Per dom element, its image as a frozenset."""
         return tuple(set_of(m) for m in self.img_masks)
 
-    def __call__(self, x):
-        return set_of(self.img_masks[x])
-
     def to_dict(self):
         return {
             "dom": self.dom.to_dict(),

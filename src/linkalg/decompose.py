@@ -27,8 +27,6 @@ def _tensor_all(parts):
 def _seq_all(stages):
     out = None
     for s in stages:
-        if s is None:
-            continue
         out = s if out is None else Seq(out, s)
     return out
 

@@ -15,32 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-def checked_row(r, width):
-    """r as a multiset over width, a tuple of width naturals; ValueError otherwise."""
-    r = tuple(r)
-    if len(r) != width:
-        raise ValueError(f"{len(r)} counts where {width} are needed")
-    for c in r:
-        if type(c) is not int or c < 0:
-            raise ValueError(f"counts must be natural numbers, got {c!r}")
-    return r
-
-
-def checked_rows(rows, dom, cod):
-    """rows as a tuple of dom multisets over cod; ValueError otherwise."""
-    rows = tuple(rows)
-    if len(rows) != dom:
-        raise ValueError(f"{len(rows)} rows for domain {dom}")
-    return tuple(checked_row(r, cod) for r in rows)
+from .shape import nat_matrix
 
 
 @dataclass(frozen=True, init=False)
 class MRel:
     """Rows indexed by the domain; row x is the multiset image of x.
 
-    MRel(dom, cod, rows) checks the rows; MRel.derived(dom, cod, rows)
-    takes tuple rows computed from arrows already built, unchecked.
+    MRel(dom, cod, rows) checks the rows through shape; MRel.derived(dom,
+    cod, rows) takes tuple rows computed from arrows already built, unchecked.
     """
 
     dom: int
@@ -50,7 +33,7 @@ class MRel:
     def __init__(self, dom, cod, rows):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "rows", checked_rows(rows, dom, cod))
+        object.__setattr__(self, "rows", tuple(map(tuple, nat_matrix(rows, "rows", dom, cod))))
 
     @classmethod
     def derived(cls, dom, cod, rows):
@@ -59,17 +42,6 @@ class MRel:
         object.__setattr__(f, "cod", cod)
         object.__setattr__(f, "rows", rows)
         return f
-
-    def to_matrix(self):
-        return [list(r) for r in self.rows]
-
-    @classmethod
-    def from_matrix(cls, matrix, cod=None):
-        if cod is None:
-            if not matrix:
-                raise ValueError("codomain size needed for an empty matrix")
-            cod = len(matrix[0])
-        return cls(len(matrix), cod, matrix)
 
 
 def identity_m(n):

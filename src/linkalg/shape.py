@@ -1,4 +1,4 @@
-"""Shape checks for span and cospan JSON, applied before anything is built.
+"""Shape checks for span JSON and constructor arguments, applied before anything is built.
 
 A value of the wrong shape (a missing key, a boolean or float where a
 natural number belongs, a negative size, a leg whose length does not
@@ -45,8 +45,8 @@ def nat_keys(d, *keys):
 
 
 def seq(x, name, length=None):
-    """x as a JSON array, of the given length if one is given."""
-    if not isinstance(x, list):
+    """x as a JSON array or a tuple, of the given length if one is given."""
+    if not isinstance(x, (list, tuple)):
         raise SpanFormatError(f"{name} must be an array, got {_show(x)}")
     if length is not None and len(x) != length:
         raise SpanFormatError(f"{name} has {len(x)} entries, expected {length}")
@@ -58,6 +58,11 @@ def nats(x, name, length=None, bound=None):
     return [nat(c, f"{name}[{i}]", bound) for i, c in enumerate(seq(x, name, length))]
 
 
+def nat_matrix(x, name, length, width=None, bound=None):
+    """x as an array of `length` arrays of naturals (any number if None)."""
+    return [nats(r, f"{name}[{i}]", width, bound) for i, r in enumerate(seq(x, name, length))]
+
+
 def nat_rows(d, key, length, width=None, bound=None):
-    """d[key] as an array of `length` arrays of naturals (any number if None)."""
-    return [nats(r, f"{key}[{i}]", width, bound) for i, r in enumerate(seq(need(d, key), key, length))]
+    """d[key] as a nat_matrix."""
+    return nat_matrix(need(d, key), key, length, width, bound)

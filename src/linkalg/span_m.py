@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import span_c
-from .multiset import MRel, checked_rows, identity_m, lift_m, random_mrel
-from .shape import nat_keys, nat_rows
+from .multiset import MRel, identity_m, lift_m, random_mrel
+from .shape import nat_keys, nat_matrix, nat_rows
 from .sync_m import min_msyncs
 
 
@@ -24,8 +24,8 @@ from .sync_m import min_msyncs
 class SpanM:
     """links: the distinct (left counts, right counts) pairs, sorted on
     construction.  A repeated link, or a row whose length is not its
-    boundary, raises ValueError; the counts themselves are checked by
-    span_m and from_dict."""
+    boundary, raises ValueError; the counts themselves are checked
+    (SpanFormatError) by span_m and from_dict."""
 
     left: int
     right: int
@@ -81,10 +81,10 @@ class SpanM:
 
 
 def span_m(left, right, lrows, rrows):
-    n = len(lrows)
-    if len(rrows) != n:
+    lrows, rrows = nat_matrix(lrows, "lleg", None, left), nat_matrix(rrows, "rleg", None, right)
+    if len(lrows) != len(rrows):
         raise ValueError("leg row counts differ")
-    return SpanM(left, right, zip(checked_rows(lrows, n, left), checked_rows(rrows, n, right)))
+    return SpanM(left, right, zip(map(tuple, lrows), map(tuple, rrows)))
 
 
 def factorise(left, right, pairs):

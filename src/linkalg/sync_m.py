@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from math import gcd
 from operator import add, le, mul
 
-from .multiset import MRel, checked_row, lift_m
+from .multiset import MRel, lift_m
+from .shape import nats
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,10 @@ class SyncM:
 
 
 def is_msync(f, g, u, v):
-    """Whether the multisets u over f.dom and v over g.dom have equal lifts."""
+    """Whether u and v, arrays of f.dom and g.dom naturals, have equal lifts."""
     if f.cod != g.cod:
         raise ValueError("arrows must share a codomain")
-    return lift_m(f, checked_row(u, f.dom)) == lift_m(g, checked_row(v, g.dom))
+    return lift_m(f, nats(u, "u", f.dom)) == lift_m(g, nats(v, "v", g.dom))
 
 
 def _columns(f, g):
@@ -161,7 +162,7 @@ def min_msync_vectors(f, g):
         raise ValueError("arrows must share a codomain")
     n = f.dom + g.dom
     cols = _columns(f, g)
-    gram = [tuple(sum(a * b for a, b in zip(ci, cj)) for cj in cols) for ci in cols]
+    gram = [tuple(sum(map(mul, ci, cj)) for cj in cols) for ci in cols]
 
     basis = []
     index = {}  # (i, c) -> basis elements b with b[i] == c > 0

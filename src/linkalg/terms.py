@@ -11,6 +11,7 @@ usual string-diagram notation are accepted on input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import span_c, span_m
@@ -115,36 +116,24 @@ class Ten(_Term):
         object.__setattr__(self, "cod", self.fst.cod + self.snd.cod)
 
 
+# one token after optional space: an operator, an ASCII word, any other
+# single character (a name if it is a letter or an alias), or the end.
+# Left to re's cache, so that it is compiled on first use, not on import.
+_TOKEN = r"\s*(?:([;*()])|([A-Za-z_][A-Za-z0-9_]*)|(\S)|\Z)"
+
+
 def _tokenize(text):
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in ";*()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_" or ch in ALIASES:
-            if ch in ALIASES and not ch.isascii():
-                toks.append(("name", ALIASES[ch], i))
-                i += 1
-                continue
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_") and text[j].isascii():
-                j += 1
-            word = text[i:j]
-            if j == i:  # single non-ascii letter that is not an alias
-                word = ch
-                j = i + 1
-            toks.append(("name", ALIASES.get(word, word), i))
-            i = j
-            continue
-        raise TermSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", len(text)))
-    return toks
+    for m in re.finditer(_TOKEN, text):
+        op, word, ch = m.groups()
+        tok = op or word or ch
+        if tok is None:
+            toks.append(("end", "", len(text)))
+            return toks
+        at = m.end() - len(tok)
+        if ch and not (ch.isalpha() or ch in ALIASES):
+            raise TermSyntaxError(f"unexpected character {ch!r}", at)
+        toks.append((op, op, at) if op else ("name", ALIASES.get(tok, tok), at))
 
 
 def parse(text):

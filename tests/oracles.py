@@ -3,6 +3,8 @@
 Deliberately naive: exhaustive enumeration over independent subsets, or
 over a bounded box of multisets, and the Hilbert basis completion in its
 first, unindexed form, which reaches systems too wide for the box.
+The term tokenizer and the matrix view of multirelations are kept here
+as first written.
 """
 
 import itertools
@@ -11,6 +13,8 @@ from fractions import Fraction
 
 from linkalg.contention import CSet, indep_masks, pc_contends_masks, set_of
 from linkalg.crel import CRel, lift_mask, validate
+from linkalg.multiset import MRel
+from linkalg.terms import ALIASES, TermSyntaxError
 
 
 def all_csets(max_size):
@@ -203,3 +207,53 @@ def naive_extreme_rays(f, g):
                 ray[i] = c // common
             rays.append(tuple(ray))
     return sorted(rays)
+
+
+def scan_tokens(text):
+    """The term tokenizer as first written, one character at a time.
+    Returns the same (kind, value, position) list as terms._tokenize and
+    raises the same TermSyntaxError."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in ";*()":
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_" or ch in ALIASES:
+            if ch in ALIASES and not ch.isascii():
+                toks.append(("name", ALIASES[ch], i))
+                i += 1
+                continue
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_") and text[j].isascii():
+                j += 1
+            word = text[i:j]
+            if j == i:  # single non-ascii letter that is not an alias
+                word = ch
+                j = i + 1
+            toks.append(("name", ALIASES.get(word, word), i))
+            i = j
+            continue
+        raise TermSyntaxError(f"unexpected character {ch!r}", i)
+    toks.append(("end", "", len(text)))
+    return toks
+
+
+def to_matrix(f):
+    """A multirelation's rows as a list of lists."""
+    return [list(r) for r in f.rows]
+
+
+def from_matrix(matrix, cod=None):
+    """The multirelation with these rows; cod is read off the first row
+    unless given, so an empty matrix needs it."""
+    if cod is None:
+        if not matrix:
+            raise ValueError("codomain size needed for an empty matrix")
+        cod = len(matrix[0])
+    return MRel(len(matrix), cod, matrix)

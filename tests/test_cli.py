@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import linkalg
 from linkalg import cli, span_c, span_m
 from linkalg.contention import full
 from linkalg.span_c import Cospan, embed_cospan
@@ -107,6 +111,29 @@ def test_missing_model_flag_is_a_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as e:
         cli.main(["eval", "copy"])
     assert e.value.code == 2
+
+
+def test_later_calls_in_one_process_print_what_a_fresh_process_prints(capsys, monkeypatch):
+    # help is wrapped to the terminal's width, so fix one for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(linkalg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    calls = [
+        ["eval", "-m", "c", "copy ; merge"],
+        ["eq", "-m", "c", "--witness", "split ; join", "split ; (join)"],
+        ["eval", "-m", "c", "copy ; merge"],
+        ["eval", "copy"],
+        ["eq", "--help"],
+    ]
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "linkalg.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        try:
+            here = run(capsys, monkeypatch, argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            here = (exc.code, *capsys.readouterr())
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_compose_from_files_and_stdin(capsys, monkeypatch, tmp_path):
@@ -239,10 +266,9 @@ def test_malformed_span_json_exits_two(capsys, monkeypatch):
         good = good_c if isinstance(bad, list) or bad["model"] == "c" else good_m
         code, out, err = run(capsys, monkeypatch, ["compose"], stdin=json.dumps([good, bad]))
         assert (code, out) == (2, "") and message in err, (bad, err)
-    code, out, err = run(
-        capsys, monkeypatch, ["decompose", "-m", "m"], stdin=json.dumps({**good_m, "lleg": [[1.5]]})
-    )
-    assert (code, out) == (2, "")
+    for bad, message in (([[1.5]], "lleg[0][0] must be a natural number"), (5, "lleg must be an array, got 5")):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "-m", "m"], stdin=json.dumps({**good_m, "lleg": bad}))
+        assert (code, out) == (2, "") and message in err
     code, _, err = run(capsys, monkeypatch, ["compose"], stdin=json.dumps([good_m]))
     assert code == 2 and "array of two spans" in err
     cospan = Cospan(2, 1, 2, (0, 1), (0,)).to_dict()

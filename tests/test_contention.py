@@ -55,6 +55,9 @@ def test_contends_is_reflexive_and_symmetric():
         assert x.contends(i, i)
     assert x.contends(0, 1) and x.contends(1, 0)
     assert not x.contends(0, 2)
+    for a, b in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="^element out of range for size 3$"):
+            x.contends(a, b)
 
 
 def test_independent_subset_listing_order():
@@ -122,8 +125,10 @@ def test_subset_contention_via_adjacent_elements():
 
 
 def test_subset_contention_requires_independent_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[0, 1\] is not independent$"):
         powerset_contention(full(2), {0, 1}, {0})
+    with pytest.raises(ValueError, match=r"^\[0, 1\] is not independent$"):
+        powerset_contention(full(2), {0}, {0, 1})
 
 
 @given(csets(4))

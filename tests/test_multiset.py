@@ -3,6 +3,9 @@
 import pytest
 
 from linkalg.multiset import MRel, compose_m, identity_m, lift_m, random_mrel
+from linkalg.shape import SpanFormatError
+
+from oracles import from_matrix, to_matrix
 
 
 def add(a, b):
@@ -14,24 +17,26 @@ def scale(k, a):
 
 
 def test_negative_counts_rejected():
-    with pytest.raises(ValueError, match="natural"):
+    with pytest.raises(SpanFormatError, match=r"^rows\[0\]\[1\] must be a natural number, got -1$"):
         MRel(1, 2, [(1, -1)])
 
 
 @pytest.mark.parametrize("entry", [True, False, 1.5, 2.0, "2", -1, None])
 def test_entries_must_be_ints_at_least_zero(entry):
     """Entries are not coerced: bool, float and str are refused like negatives."""
-    with pytest.raises(ValueError, match="natural"):
+    with pytest.raises(SpanFormatError, match="natural"):
         MRel(1, 1, [[entry]])
     with pytest.raises(ValueError, match="natural"):
-        MRel.from_matrix([[0, entry]])
+        from_matrix([[0, entry]])
 
 
 def test_mrel_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpanFormatError, match="^rows has 1 entries, expected 2$"):
         MRel(2, 1, [(0,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(SpanFormatError, match=r"^rows\[0\] has 1 entries, expected 2$"):
         MRel(1, 2, [(0,)])
+    with pytest.raises(SpanFormatError, match="^rows must be an array, got 5$"):
+        MRel(1, 1, 5)
     assert MRel(2, 1, [[1], (2,)]).rows == ((1,), (2,))
 
 
@@ -52,8 +57,8 @@ def test_compose_is_matrix_product(rng):
     for _ in range(60):
         f = random_mrel(rng)
         g = random_mrel(rng, dom=f.cod)
-        got = compose_m(f, g).to_matrix()
-        a, b = f.to_matrix(), g.to_matrix()
+        got = to_matrix(compose_m(f, g))
+        a, b = to_matrix(f), to_matrix(g)
         want = [
             [sum(a[i][k] * b[k][j] for k in range(f.cod)) for j in range(g.cod)]
             for i in range(f.dom)
@@ -73,8 +78,8 @@ def test_category_laws(rng):
 
 def test_matrix_round_trip():
     m = [[1, 0, 2], [0, 3, 0]]
-    assert MRel.from_matrix(m).to_matrix() == m
-    assert MRel.from_matrix(m) == MRel(2, 3, ((1, 0, 2), (0, 3, 0)))
-    assert MRel.from_matrix([], cod=3).dom == 0
+    assert to_matrix(from_matrix(m)) == m
+    assert from_matrix(m) == MRel(2, 3, ((1, 0, 2), (0, 3, 0)))
+    assert from_matrix([], cod=3).dom == 0
     with pytest.raises(ValueError):
-        MRel.from_matrix([])
+        from_matrix([])

@@ -210,6 +210,10 @@ def test_cospan_pushout_glues_along_shared_boundary():
     e = compose_cospans(c, d)
     assert e.carrier == 3
     assert e.lmap == (0,) and e.rmap == (2,)
+    with pytest.raises(ValueError, match="^boundary mismatch$"):
+        compose_cospans(c, Cospan(2, 1, 2, (0, 1), (0,)))
+    with pytest.raises(ValueError, match="^boundary map lengths must match the boundaries$"):
+        Cospan(1, 1, 2, (0, 1), (0,))
 
 
 def test_cospan_iso_key():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from linkalg.shape import SpanFormatError
 from linkalg.span_m import (
     SpanM,
     compose,
@@ -45,10 +46,19 @@ def test_joint_injectivity_enforced():
 @pytest.mark.parametrize("entry", [True, 1.5, "2", -1])
 def test_span_entries_must_be_ints_at_least_zero(entry):
     """Entries are not coerced: [[1.5]] is refused, not read as [[1]]."""
-    with pytest.raises(ValueError, match="natural"):
+    with pytest.raises(SpanFormatError, match=r"^lleg\[0\]\[0\] must be a natural number"):
         span_m(1, 1, [(entry,)], [(1,)])
-    with pytest.raises(ValueError, match="natural"):
+    with pytest.raises(SpanFormatError, match=r"^rleg\[0\]\[0\] must be a natural number"):
         span_m(1, 1, [(1,)], [(entry,)])
+
+
+def test_mismatched_shapes_are_refused():
+    with pytest.raises(ValueError, match="^boundary mismatch: 2 vs 1$"):
+        compose(GENS["copy"], GENS["copy"])
+    with pytest.raises(ValueError, match="^leg row counts differ$"):
+        span_m(1, 1, [[1]], [[1], [0]])
+    with pytest.raises(SpanFormatError, match=r"^rleg\[0\] has 2 entries, expected 1$"):
+        span_m(1, 1, [[1]], [[1, 0]])
 
 
 def test_split_then_join_is_identity():

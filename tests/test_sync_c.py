@@ -38,6 +38,14 @@ def test_is_sync_rejects_dependent_parts():
         is_sync(f, f, {0, 1}, {0})
 
 
+def test_arrows_must_share_a_codomain():
+    f, g = identity(discrete(1)), identity(discrete(2))
+    with pytest.raises(ValueError, match="^arrows must share a codomain$"):
+        is_sync(f, g, {0}, {0})
+    with pytest.raises(ValueError, match="^arrows must share a codomain$"):
+        min_sync_masks(f, g)
+
+
 def test_identity_pullback_recovers_the_object():
     # pulling back f against the identity gives back dom(f) elementwise
     x = CSet(3, frozenset({(0, 1)}))
@@ -226,6 +234,10 @@ def test_mediator_rejects_non_cone():
     beta = crel(discrete(1), discrete(1), [[0]])
     with pytest.raises(ValueError, match="not a cone"):
         mediator(f, g, alpha, beta)
+    with pytest.raises(ValueError, match="^cone legs do not match the arrows$"):
+        mediator(f, g, alpha, identity(discrete(2)))
+    with pytest.raises(ValueError, match="^cone legs must share a domain$"):
+        mediator(f, g, alpha, crel(discrete(2), discrete(1), [[0], []]))
 
 
 def test_mediator_triangles_and_uniqueness_random(rng):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import linkalg
 from linkalg import sync_m
 from linkalg.multiset import MRel, compose_m, random_mrel
+from linkalg.shape import SpanFormatError
 from linkalg.sync_m import (
     SyncM,
     is_msync,
@@ -21,11 +22,11 @@ from linkalg.sync_m import (
     weak_pullback,
 )
 
-from oracles import box_min_msyncs, naive_extreme_rays, naive_min_msync_vectors
+from oracles import box_min_msyncs, from_matrix, naive_extreme_rays, naive_min_msync_vectors
 
 
 def two_to_one():
-    return MRel.from_matrix([[1], [1]])
+    return from_matrix([[1], [1]])
 
 
 def add(a, b):
@@ -266,13 +267,23 @@ def test_minimal_decomposition_worked_example():
     assert total_u == (1, 1) and total_v == (1, 1)
 
 
+def test_arrows_must_share_a_codomain():
+    f, g = MRel(1, 1, [(1,)]), MRel(1, 2, [(1, 1)])
+    with pytest.raises(ValueError, match="^arrows must share a codomain$"):
+        is_msync(f, g, (1,), (1,))
+    with pytest.raises(ValueError, match="^arrows must share a codomain$"):
+        min_msync_vectors(f, g)
+    with pytest.raises(SpanFormatError, match="^v has 2 entries, expected 1$"):
+        is_msync(f, f, (1,), (1, 0))
+
+
 def test_minimal_decomposition_rejects_non_sync():
     t = two_to_one()
     with pytest.raises(ValueError, match="not a synchronisation"):
         minimal_decomposition(t, t, SyncM((1, 0), (0, 0)))
     # a synchronisation is a pair of multisets: only ints >= 0 count
     for bad in ((-1, -1), (0.5, 0.5), (True, True)):
-        with pytest.raises(ValueError, match="natural"):
+        with pytest.raises(SpanFormatError, match="natural"):
             is_msync(t, t, bad, bad)
         with pytest.raises(ValueError, match="natural"):
             minimal_decomposition(t, t, SyncM(bad, bad))

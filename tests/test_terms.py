@@ -1,9 +1,11 @@
 """Parser, printer and evaluator for the diagram term language."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkalg import span_c, span_m
 from linkalg.terms import (
+    _tokenize,
     ALIASES,
     ARITIES,
     MODELS,
@@ -19,6 +21,8 @@ from linkalg.terms import (
     parse,
     pretty,
 )
+
+from oracles import scan_tokens
 
 
 def test_atom_boundaries_match_the_arity_table():
@@ -132,6 +136,29 @@ def test_syntax_error_positions():
         parse("; copy")
     with pytest.raises(TermSyntaxError, match="found 'end'"):
         parse("")
+    # a non-ASCII letter that is no alias is a name of one character
+    with pytest.raises(TermSyntaxError, match="^at position 0: unknown generator 'é'$"):
+        parse("é")
+
+
+def _tokens_or_error(scan, text):
+    try:
+        return scan(text)
+    except TermSyntaxError as exc:
+        return str(exc), exc.pos
+
+
+def test_tokenizer_matches_the_character_scanner_on_every_small_code_point():
+    chars = [chr(c) for c in range(0x800)] + list(ALIASES)
+    for ch in chars:
+        for text in (ch, f"copy_{ch}", f"{ch}_x", f"a_{ch}b", f" {ch}{ch} "):
+            assert _tokens_or_error(_tokenize, text) == _tokens_or_error(scan_tokens, text), text
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text() | st.text(alphabet="copy_delV IX19 ;*()\t$é" + "".join(ALIASES)))
+def test_tokenizer_matches_the_character_scanner_on_drawn_text(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(scan_tokens, text)
 
 
 def test_composition_arity_mismatch_is_a_type_error():
