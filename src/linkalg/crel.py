@@ -71,9 +71,11 @@ class CRel:
     @classmethod
     def from_dict(cls, d):
         """Load; SpanFormatError if the JSON has the wrong shape."""
-        dom = CSet.from_dict(need(d, "dom"), "dom")
+        dom = need(d, "dom")
+        size = nat(need(dom, "size"), "dom size")  # map first: the c-set allocates a row per element
         cod = CSet.from_dict(need(d, "cod"), "cod")
-        return cls(dom, cod, nat_rows(d, "map", dom.size, None, cod.size))
+        rows = nat_rows(d, "map", size, None, cod.size)
+        return cls(CSet.from_dict(dom, "dom"), cod, rows)
 
 
 def validate(r):

@@ -61,14 +61,11 @@ class SpanC:
         span: ...") if the legs break the arrow condition.
         """
         left, right = nat_keys(d, "left", "right")
-        carrier = CSet.from_dict(need(d, "carrier"))
-        return span_c(
-            left,
-            right,
-            carrier,
-            nat_rows(d, "lleg", carrier.size, None, left),
-            nat_rows(d, "rleg", carrier.size, None, right),
-        )
+        carrier = need(d, "carrier")
+        size = nat(need(carrier, "size"), "carrier size")  # legs first: the c-set allocates a row per element
+        lleg = nat_rows(d, "lleg", size, None, left)
+        rleg = nat_rows(d, "rleg", size, None, right)
+        return span_c(left, right, CSet.from_dict(carrier), lleg, rleg)
 
 
 def span_c(left, right, carrier, limages, rimages):

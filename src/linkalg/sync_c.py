@@ -113,14 +113,12 @@ def sync_space(f, g, pairs):
     two parts, less its own bit.
 
     Elements often share a key (on a full carrier all do), so the OR is
-    computed once per distinct key and kept in a memo.  It is computed
-    one of two ways.  Walking the key's bits costs one step per bit.
-    Tables cost one lookup per 8-element chunk of the domain: the table
-    of a chunk holds the OR of holders over every subset of the chunk
-    (the method of Four Russians).  Building them costs about 32 steps
-    per element, since a chunk's table has 256 entries.  The tables are
-    used when the summed popcounts of the distinct keys exceed that
-    cost plus one lookup per chunk and key, so the input decides.
+    computed once per distinct key.  Each key is read one 8-element
+    chunk of the domain at a time: the OR of holders over a chunk's byte
+    is walked bit by bit the first time that (chunk, byte) is met and
+    looked up afterwards.  A dense key so costs about one step per bit,
+    and keys sharing bytes about one lookup per chunk; only the (chunk,
+    byte) pairs that occur are ever computed.
     """
     rows = [0] * len(pairs)
     for side, dom in enumerate((f.dom, g.dom)):
@@ -132,12 +130,7 @@ def sync_space(f, g, pairs):
                 holders[low.bit_length() - 1] |= bit
                 m ^= low
         keys = [row | 1 << e for e, row in enumerate(dom.adj)]
-        distinct = set(keys)
-        chunks = -(-dom.size // 8)
-        if sum(key.bit_count() for key in distinct) > 32 * dom.size + len(distinct) * chunks:
-            memo = _ors_by_tables(holders, distinct)
-        else:
-            memo = _ors_by_walk(holders, distinct)
+        memo = _ors(holders, set(keys))
         touches = [memo[key] for key in keys]
         for i, p in enumerate(pairs):
             m, row = p[side], rows[i]
@@ -149,33 +142,25 @@ def sync_space(f, g, pairs):
     return CSet(len(pairs), adj=[row & ~(1 << i) for i, row in enumerate(rows)])
 
 
-def _ors_by_walk(holders, keys):
-    """{key: the OR of holders[e] over the members e of key}, bit by bit."""
+def _ors(holders, keys):
+    """{key: the OR of holders[e] over the members e of key}."""
+    width = -(-len(holders) // 8)
+    parts = [None] * (256 * width)  # index 256 * chunk + byte: the OR over that byte
     memo = {}
     for key in keys:
-        acc, m = 0, key
-        while m:
-            low = m & -m
-            acc |= holders[low.bit_length() - 1]
-            m ^= low
-        memo[key] = acc
-    return memo
-
-
-def _ors_by_tables(holders, keys):
-    """The same as _ors_by_walk, by one table lookup per 8-element chunk."""
-    tables = []
-    for c in range(0, len(holders), 8):
-        table = [0]  # index s: the OR over the chunk members whose bits s sets
-        for h in holders[c:c + 8]:
-            table += [t | h for t in table]
-        tables.append(table)
-    memo = {}
-    for key in keys:
-        acc = 0
-        for table, byte in zip(tables, key.to_bytes(len(tables), "little")):
+        acc, at = 0, 0  # at: 256 * the chunk
+        for byte in key.to_bytes(width, "little"):
             if byte:
-                acc |= table[byte]
+                part = parts[at + byte]
+                if part is None:
+                    part, m, first = 0, byte, at >> 5  # first: the chunk's first element
+                    while m:
+                        low = m & -m
+                        part |= holders[first + low.bit_length() - 1]
+                        m ^= low
+                    parts[at + byte] = part
+                acc |= part
+            at += 256
         memo[key] = acc
     return memo
 

@@ -258,6 +258,8 @@ def test_malformed_span_json_exits_two(capsys, monkeypatch):
         ({**good_c, "carrier": {"size": True, "contention": []}}, "carrier size must be a natural number"),
         ({**good_c, "carrier": {"size": 1}}, 'missing key "contention"'),
         ({**good_c, "rleg": [[0], [0]]}, "rleg has 2 entries, expected 1"),
+        # checked against the legs before a c-set of that size is allocated
+        ({**good_c, "carrier": {"size": 10**15, "contention": []}}, "lleg has 1 entries, expected 1000000000000000"),
         ({**good_c, "lleg": [[1]]}, "lleg[0][0] is 1, out of range for size 1"),
         ({**good_c, "model": "x"}, 'needs "model"'),
         ([good_c], "expected a JSON object"),

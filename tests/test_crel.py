@@ -150,6 +150,7 @@ def test_from_dict_refuses_booleans_and_floats():
         ({**good, "cod": {"size": 1.0, "contention": []}}, "cod size must be a natural number, got 1.0"),
         ({**good, "map": [[0.5]]}, "map[0][0] must be a natural number, got 0.5"),
         ({**good, "map": [[True]]}, "map[0][0] must be a natural number, got true"),
+        ({**good, "dom": {"size": 10**15, "contention": []}}, "map has 1 entries, expected 1000000000000000"),
     ):
         with pytest.raises(SpanFormatError) as e:
             CRel.from_dict(bad)

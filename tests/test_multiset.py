@@ -64,6 +64,8 @@ def test_compose_is_matrix_product(rng):
             for i in range(f.dom)
         ]
         assert got == want
+    with pytest.raises(ValueError, match="middle objects differ"):
+        compose_m(MRel(1, 1, [(1,)]), MRel(2, 1, [(1,), (1,)]))
 
 
 def test_category_laws(rng):

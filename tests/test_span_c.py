@@ -75,6 +75,10 @@ def test_invalid_span_rejected():
     # two independent carrier elements may not share a boundary port
     with pytest.raises(ValueError):
         span_c(1, 0, discrete(2), [[0], [0]], [[], []])
+    x = discrete(1)
+    leg = CRel(x, x, masks=[1])
+    with pytest.raises(ValueError, match="legs must share the carrier as domain"):
+        SpanC(1, 1, discrete(2), leg, leg)
 
 
 def test_compose_boundary_mismatch():

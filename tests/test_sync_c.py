@@ -7,17 +7,8 @@ import pytest
 
 from linkalg.contention import CSet, discrete, full, indep_masks, set_of
 from linkalg.crel import CRel, compose, crel, identity, lift_mask, random_crel, random_cset, validate
-from linkalg import span_c, sync_c
-from linkalg.sync_c import (
-    _ors_by_tables,
-    _ors_by_walk,
-    is_sync,
-    mediator,
-    min_sync_masks,
-    min_syncs,
-    pullback,
-    sync_space,
-)
+from linkalg import span_c
+from linkalg.sync_c import is_sync, mediator, min_sync_masks, min_syncs, pullback, sync_space
 from linkalg.terms import eval_c, parse
 
 from oracles import all_crels, all_csets, naive_min_sync_masks, naive_sync_space
@@ -167,7 +158,7 @@ def _sync_space_cases(rng, monkeypatch):
     """Facing legs for sync_space: small random ones; domains on both
     sides of the 8-element chunks, dense or matched away; and every
     pullback of (join ; split)^5 and of a randomly bracketed 128-link B
-    chain, evaluated, the last one on the chunk tables."""
+    chain, evaluated."""
     cases = []
     for _ in range(200):
         cod = random_cset(rng, max_size=4)
@@ -176,15 +167,11 @@ def _sync_space_cases(rng, monkeypatch):
         for dom in (_dense, _matched_away):
             cod = CSet(3, [(0, 1)])
             cases.append((random_crel(rng, dom=dom(rng, n), cod=cod), random_crel(rng, dom=dom(rng, n), cod=cod)))
-    tables = []
     monkeypatch.setattr(span_c, "pullback", lambda f, g: cases.append((f, g)) or pullback(f, g))
-    monkeypatch.setattr(sync_c, "_ors_by_tables", lambda h, k: tables.append(k) or _ors_by_tables(h, k))
     assert eval_c(parse(" ; ".join(["join ; split"] * 5))).carrier.size == 64
-    assert not tables
     # this bracketing ends in a pullback of two 128-element domains
     layers = ["(split * split)", "(id * swap * id)", "(join * join)"] * 6
     assert eval_c(parse(_bracket(layers, random.Random(2)))).carrier.size == 128
-    assert tables
     monkeypatch.undo()
     return cases
 
@@ -197,14 +184,9 @@ def _bracket(items, rng):
 
 
 def test_sync_space_matches_pairwise_reference(rng, monkeypatch):
-    """Both ways of building the touches masks, each forced in turn."""
-    cases = _sync_space_cases(rng, monkeypatch)
-    for path in (_ors_by_walk, _ors_by_tables):
-        monkeypatch.setattr(sync_c, "_ors_by_walk", path)
-        monkeypatch.setattr(sync_c, "_ors_by_tables", path)
-        for f, g in cases:
-            pairs = min_sync_masks(f, g)
-            assert sync_space(f, g, pairs) == naive_sync_space(f, g, pairs)
+    for f, g in _sync_space_cases(rng, monkeypatch):
+        pairs = min_sync_masks(f, g)
+        assert sync_space(f, g, pairs) == naive_sync_space(f, g, pairs)
 
 
 def test_pullback_legs_are_valid_and_commute(rng):
