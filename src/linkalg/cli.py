@@ -7,7 +7,9 @@ validated as it is read.  Exit status 0 is a clean answer (including
 "false"), 1 a domain error such as mismatched boundaries or a span that
 breaks the arrow or injectivity condition, 2 a parse or input error,
 including input that is not UTF-8, JSON nested too deeply for the
-decoder, and JSON of the wrong shape (see linkalg.shape).
+decoder, JSON of the wrong shape (see linkalg.shape), and input of
+valid shape too large to build in memory (a MemoryError, such as a
+boundary of 10**15 ports).
 """
 
 from __future__ import annotations
@@ -195,6 +197,9 @@ def main(argv=None):
         return 2
     except (json.JSONDecodeError, UnicodeDecodeError, OSError, SpanFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large to build in memory", file=sys.stderr)
         return 2
     except (TermTypeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from .contention import (
     CSet,
     _indep_mask,
     discrete,
-    indep_masks,
     mask_of,
     members,
     pc_contends_masks,
@@ -155,30 +154,3 @@ def op_graph(fn, cod_size):
     for x, v in enumerate(fn):
         pre[nat(v, f"function value at {x}", cod_size)] |= 1 << x
     return CRel(discrete(cod_size), discrete(len(fn)), masks=pre)
-
-
-def random_cset(rng, max_size=4, p_edge=0.4):
-    n = rng.randint(0, max_size)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p_edge]
-    return CSet(n, pairs)
-
-
-def random_crel(rng, dom=None, cod=None, max_size=4):
-    """A random valid arrow, built element by element with rejection."""
-    if dom is None:
-        dom = random_cset(rng, max_size)
-    if cod is None:
-        cod = random_cset(rng, max_size)
-    images = []
-    for x in range(dom.size):
-        choices = []
-        for m in indep_masks(cod):
-            ok = True
-            for y, prev in enumerate(images):
-                if pc_contends_masks(cod, m, prev) and not dom.contends(x, y):
-                    ok = False
-                    break
-            if ok:
-                choices.append(m)
-        images.append(rng.choice(choices))  # 0 (empty image) is always a choice
-    return CRel(dom, cod, masks=images)

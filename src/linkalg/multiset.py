@@ -67,13 +67,3 @@ def compose_m(f, g):
     if f.cod != g.dom:
         raise ValueError("middle objects differ")
     return MRel.derived(f.dom, g.cod, tuple(lift_m(g, r) for r in f.rows))
-
-
-def random_mrel(rng, dom=None, cod=None, max_size=3, max_entry=2):
-    if dom is None:
-        dom = rng.randint(0, max_size)
-    if cod is None:
-        cod = rng.randint(0, max_size)
-    return MRel.derived(
-        dom, cod, tuple(tuple(rng.randint(0, max_entry) for _ in range(cod)) for _ in range(dom))
-    )

@@ -276,19 +276,3 @@ def cospan_key(c):
 
 def cospan_iso(c, d):
     return cospan_key(c) == cospan_key(d)
-
-
-def random_span_c(rng, max_boundary=3, max_carrier=3):
-    from .crel import random_cset, random_crel
-
-    k, l = rng.randint(0, max_boundary), rng.randint(0, max_boundary)
-    carrier = random_cset(rng, max_carrier)
-    lleg = random_crel(rng, dom=carrier, cod=discrete(k))
-    rleg = random_crel(rng, dom=carrier, cod=discrete(l))
-    return SpanC(k, l, carrier, lleg, rleg)
-
-
-def random_cospan(rng, max_boundary=3, max_carrier=4):
-    k, l = rng.randint(0, max_boundary), rng.randint(0, max_boundary)
-    n = rng.randint(1, max_carrier)
-    return Cospan(k, l, n, tuple(rng.randrange(n) for _ in range(k)), tuple(rng.randrange(n) for _ in range(l)))

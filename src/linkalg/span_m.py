@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import span_c
-from .multiset import MRel, identity_m, lift_m, random_mrel
+from .multiset import MRel, identity_m, lift_m
 from .shape import nat_keys, nat_matrix, nat_rows
 from .sync_m import min_msyncs
 
@@ -144,15 +144,3 @@ def forget_contention(s):
 # and shared; generators_m() returns a fresh dict over them
 GENERATORS = {name: forget_contention(g) for name, g in span_c.GENERATORS.items()}
 generators_m = generators = GENERATORS.copy
-
-
-def random_span_m(rng, max_boundary=2, max_carrier=2, max_entry=2):
-    while True:
-        k, l = rng.randint(0, max_boundary), rng.randint(0, max_boundary)
-        n = rng.randint(0, max_carrier)
-        links = set(zip(
-            random_mrel(rng, dom=n, cod=k, max_entry=max_entry).rows,
-            random_mrel(rng, dom=n, cod=l, max_entry=max_entry).rows,
-        ))
-        if len(links) == n:
-            return SpanM(k, l, links)

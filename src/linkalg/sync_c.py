@@ -33,65 +33,55 @@ def is_sync(f, g, u, v):
 def min_sync_masks(f, g):
     """Minimal nonzero synchronisations as (umask, vmask) pairs.
 
-    A minimal synchronisation is connected: it cannot split into two
-    synchronisations with disjoint parts, because a component of the
-    shared-port graph is itself one.  So candidates are grown from
-    single elements, at each step covering the lowest port p on which
-    the two lifts still disagree, and stopping at the first agreement.
-    Every minimal synchronisation arises this way.
-
     f and g must be valid (crel.validate), or pairs that are not minimal
-    may appear.  On valid arrows every candidate C is minimal too, and
-    none is filtered.  Independent elements of a valid arrow have
-    disjoint images, as overlapping images contend reflexively; so were
-    C above a smaller nonzero synchronisation, the rest of C would be
-    one too: C would split into S, holding the seed, and R, with
-    disjoint lifts on either side.  Inductively the candidate so far
-    lies in S, so p is in the lift of S on the other side, and the
-    element added to cover p is not in R, whose lifts agree.  So C lies
-    in S, a contradiction.  That element is never in its own part
-    already, as p is missing from the part's lift.  Tests compare
-    against a plain increasing-size enumeration.
+    may appear.  Independent elements of a valid arrow have disjoint
+    images, as overlapping images contend reflexively, so a part's lift
+    is the OR of its members' images: each state carries its two lifts.
+
+    A minimal synchronisation M is grown from the lowest element a of
+    its left part, at each step adding an element that covers the
+    lowest port p on which the two lifts still disagree, and stopping at
+    the first agreement.  While the state lies in M, the element of M
+    covering p is one of its children: it is independent of the state's
+    part, and not below a, as no left element below the seed is ever
+    added.  The search is a tree, so M is grown once: the states grown
+    from a seed have it as their lowest left element, and a state's
+    children add distinct elements that all cover p, so any two contend
+    and no state holds both.  If M's left part is empty, its right
+    part's lift is empty, so it is a single right element with an empty
+    image; no seed reaches those, and they are taken on their own.
+
+    On valid arrows every candidate C is minimal too, and none is
+    filtered.  Were C above a smaller nonzero synchronisation, the rest
+    of C would be one too: C would split into S, holding the seed, and
+    R, with disjoint lifts on either side.  Inductively the state lies
+    in S, so p is in the lift of S on the other side, and the element
+    added to cover p is not in R, whose lifts agree.  So C lies in S, a
+    contradiction.  Tests compare against a plain increasing-size
+    enumeration.
     """
     if f.cod != g.cod:
         raise ValueError("arrows must share a codomain")
     fa, ga = f.dom.adj, g.dom.adj
     fim, gim = f.img_masks, g.img_masks
-    na, nb = f.dom.size, g.dom.size
-    covers_a = [[a for a in range(na) if (fim[a] >> p) & 1] for p in range(f.cod.size)]
-    covers_b = [[b for b in range(nb) if (gim[b] >> p) & 1] for p in range(g.cod.size)]
-    seeds = [(1 << a, 0) for a in range(na)] + [(0, 1 << b) for b in range(nb)]
-    seen = set(seeds)
-    frontier = seeds
-    candidates = []
-    while frontier:
-        nxt = []
-        for mu, mv in frontier:
-            lu, lv = lift_mask(f, mu), lift_mask(g, mv)
-            if lu == lv:
-                candidates.append((mu, mv))
-                continue
+    covers_a = [[a for a in range(f.dom.size) if (fim[a] >> p) & 1] for p in range(f.cod.size)]
+    covers_b = [[b for b in range(g.dom.size) if (gim[b] >> p) & 1] for p in range(g.cod.size)]
+    found = [(0, 1 << b) for b, im in enumerate(gim) if not im]
+    for seed, im in enumerate(fim):
+        stack = [(1 << seed, 0, im, 0)]  # (umask, vmask, their lifts)
+        while stack:
+            mu, mv, lu, lv = stack.pop()
             diff = lu ^ lv
+            if not diff:
+                found.append((mu, mv))
+                continue
             p = (diff & -diff).bit_length() - 1
             if (lu >> p) & 1:
-                for b in covers_b[p]:
-                    if ga[b] & mv:
-                        continue
-                    st = (mu, mv | (1 << b))
-                    if st not in seen:
-                        seen.add(st)
-                        nxt.append(st)
+                stack += [(mu, mv | 1 << b, lu, lv | gim[b]) for b in covers_b[p] if not ga[b] & mv]
             else:
-                for a in covers_a[p]:
-                    if fa[a] & mu:
-                        continue
-                    st = (mu | (1 << a), mv)
-                    if st not in seen:
-                        seen.add(st)
-                        nxt.append(st)
-        frontier = nxt
+                stack += [(mu | 1 << a, mv, lu | fim[a], lv) for a in covers_a[p] if a > seed and not fa[a] & mu]
     # canonical order: by the sorted members of U, then of V
-    return sorted(candidates, key=lambda p: (tuple(members(p[0])), tuple(members(p[1]))))
+    return sorted(found, key=lambda p: (tuple(members(p[0])), tuple(members(p[1]))))
 
 
 def min_syncs(f, g):

@@ -10,18 +10,19 @@ from itertools import combinations, product
 
 from linkalg import crel, span_c, span_m
 from linkalg.contention import discrete, indep_masks, mask_of, set_of
-from linkalg.crel import lift_mask, random_cset, random_crel
+from linkalg.crel import lift_mask
 from linkalg.decompose import decompose
 from linkalg.equations import laws, run_law
-from linkalg.multiset import MRel, lift_m, random_mrel
-from linkalg.span_c import SpanC, embed_cospan, compose_cospans, cospan_iso, random_cospan, random_span_c
-from linkalg.span_m import SpanM, random_span_m
+from linkalg.multiset import MRel, lift_m
+from linkalg.span_c import SpanC, embed_cospan, compose_cospans, cospan_iso
+from linkalg.span_m import SpanM
 from linkalg.sync_c import mediator, min_sync_masks, pullback, sync_space
 from linkalg.sync_m import is_msync, min_msyncs
 from linkalg.terms import Atom, Seq, Ten, check_equation, eval_c, eval_m, parse
 
 import pytest
 
+from draws import random_cospan, random_crel, random_cset, random_mrel, random_span_c, random_span_m
 from oracles import all_crels, all_csets, box_min_msyncs
 
 

@@ -277,3 +277,8 @@ def test_malformed_span_json_exits_two(capsys, monkeypatch):
     for bad in ({**cospan, "lmap": [0]}, {**cospan, "rmap": [2]}, {**cospan, "carrier": False}, [cospan]):
         code, out, _ = run(capsys, monkeypatch, ["embed"], stdin=json.dumps(bad))
         assert (code, out) == (2, "")
+    # valid shape, too large to build: refused at once, without a traceback
+    huge = {**good_c, "left": 10**15, "carrier": {"size": 0, "contention": []}, "lleg": [], "rleg": []}
+    for argv, bad in ((["decompose", "-m", "c"], huge), (["embed"], {**cospan, "carrier": 10**15})):
+        code, out, err = run(capsys, monkeypatch, argv, stdin=json.dumps(bad))
+        assert (code, out, err) == (2, "", "error: input too large to build in memory\n")

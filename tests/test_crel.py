@@ -12,11 +12,11 @@ from linkalg.crel import (
     lift,
     lift_mask,
     op_graph,
-    random_crel,
     validate,
 )
 from linkalg.shape import SpanFormatError
 
+from draws import random_crel
 from oracles import all_crels, all_csets
 
 

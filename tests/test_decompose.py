@@ -18,9 +18,11 @@ from linkalg.decompose import (
     _route,
     decompose,
 )
-from linkalg.span_c import SpanC, random_span_c
-from linkalg.span_m import SpanM, random_span_m
+from linkalg.span_c import SpanC
+from linkalg.span_m import SpanM
 from linkalg.terms import Atom, Seq, Ten, eval_c, eval_m, parse, pretty
+
+from draws import random_span_c, random_span_m
 
 
 def _round_trip_c(s):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from linkalg.multiset import MRel, compose_m, identity_m, lift_m, random_mrel
+from linkalg.multiset import MRel, compose_m, identity_m, lift_m
 from linkalg.shape import SpanFormatError
 
+from draws import random_mrel
 from oracles import from_matrix, to_matrix
 
 

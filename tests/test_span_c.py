@@ -20,11 +20,11 @@ from linkalg.span_c import (
     generators,
     identity_span,
     iso_check,
-    random_cospan,
-    random_span_c,
     span_c,
     tensor,
 )
+
+from draws import random_cospan, random_span_c
 
 
 GENS = generators()

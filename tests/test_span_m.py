@@ -11,10 +11,11 @@ from linkalg.span_m import (
     generators_m,
     identity_span_m,
     iso_check,
-    random_span_m,
     span_m,
     tensor,
 )
+
+from draws import random_span_m
 
 
 GENS = generators_m()

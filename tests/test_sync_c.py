@@ -6,11 +6,12 @@ import random
 import pytest
 
 from linkalg.contention import CSet, discrete, full, indep_masks, set_of
-from linkalg.crel import CRel, compose, crel, identity, lift_mask, random_crel, random_cset, validate
+from linkalg.crel import CRel, compose, crel, identity, lift_mask, validate
 from linkalg import span_c
 from linkalg.sync_c import is_sync, mediator, min_sync_masks, min_syncs, pullback, sync_space
 from linkalg.terms import eval_c, parse
 
+from draws import random_crel, random_cset
 from oracles import all_crels, all_csets, naive_min_sync_masks, naive_sync_space
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import linkalg
 from linkalg import sync_m
-from linkalg.multiset import MRel, compose_m, random_mrel
+from linkalg.multiset import MRel, compose_m
 from linkalg.shape import SpanFormatError
 from linkalg.sync_m import (
     SyncM,
@@ -22,6 +22,7 @@ from linkalg.sync_m import (
     weak_pullback,
 )
 
+from draws import random_mrel
 from oracles import box_min_msyncs, from_matrix, naive_extreme_rays, naive_min_msync_vectors
 
 
